@@ -3,8 +3,9 @@
 Each subcommand loads one or two models (PV source via --pv, precubical
 JSON via --complex), runs an analysis, and prints a machine-readable
 JSON report followed by a short text summary (suppressed by
---json-only).  Exit codes: 0 analysis completed (the verdict itself may
-be negative), 1 usage error, 2 budget or cap exceeded.
+--json-only, given after the subcommand).  Exit codes: 0 analysis
+completed (the verdict itself may be negative), 1 usage error, 2 budget
+or cap exceeded.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .cubecore import PrecubicalSet, gamma
+from .cubecore import PrecubicalSet, build_grid_complex
 from .ditc import DEFAULT_PART_CAP, ditc_exact, ditc_upper
 from .equivcheck import DEFAULT_SEARCH_DEPTH, DMapData, check_dihomotopy_equivalence, check_strong
 from .errors import BudgetExceeded, ModelError, PathCapExceeded
@@ -23,8 +24,7 @@ from .fixtures import write_fixture
 from .natsys import bisimilar, build_natural_system
 from .pvlang import compile_pv, parse_pv, pretty_print
 from .traceclass import trace_classes
-from .zhom import homology_ranks, is_contractible_surrogate, is_dicontractible, section_exists
-from .cubecore import build_grid_complex
+from .zhom import homology_ranks, is_contractible_surrogate, section_exists
 
 SCHEMA_VERSION = 1
 
@@ -218,8 +218,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="ditop",
         description="directed-topology analyses on small precubical models")
-    parser.add_argument("--json-only", action="store_true",
-                        help="suppress the text summary")
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-only", action="store_true",
@@ -261,9 +259,7 @@ def build_parser():
 
     sp = subs.add_parser("ditc", help="directed topological complexity")
     _add_model_flags(sp)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--upper", action="store_true")
+    sp.add_argument("--upper", action="store_true")
     sp.add_argument("--cap", type=int, default=DEFAULT_PART_CAP)
     sp.set_defaults(body=_cmd_ditc)
 
@@ -281,8 +277,6 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    # parallelism cap; analyses are single-threaded, the cap is recorded
-    os.environ.setdefault("DITOP_THREADS", "1")
     if getattr(args, "n_models", 0) and len(args.models) != args.n_models:
         print(f"error: expected {args.n_models} model argument(s) "
               f"(--pv/--complex), got {len(args.models)}", file=sys.stderr)
@@ -293,7 +287,7 @@ def run(argv):
     except (BudgetExceeded, PathCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, OSError) as exc:
+    except (ModelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(args, args.command, models, result, started)
@@ -304,3 +298,7 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelError, PathCapExceeded
 
@@ -153,16 +153,46 @@ class PrecubicalSet:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid complex file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ModelError("complex file must hold a JSON object")
         if "vertices" not in doc or "edges" not in doc:
             raise ModelError("complex file needs 'vertices' and 'edges'")
-        labels = {int(k): v for k, v in doc.get("labels", {}).items()}
+        n = doc["vertices"]
+        if not json_int(n) or n < 0:
+            raise ModelError("'vertices' must be a non-negative integer")
+        for key, width in (("edges", 2), ("squares", 4)):
+            if not json_int_rows(doc.get(key, []), width):
+                raise ModelError(f"'{key}' must be a list of {width}-integer lists")
+        labels = doc.get("labels", {})
+        if not isinstance(labels, dict) or not all(
+            k.isdecimal() and isinstance(v, str) for k, v in labels.items()
+        ):
+            raise ModelError("'labels' must map vertex ids to strings")
+        coords = doc.get("coords")
+        if coords is not None and not (json_int_rows(coords) and len(coords) == n):
+            raise ModelError("'coords' must list one integer point per vertex")
         return cls(
-            doc["vertices"],
+            n,
             doc["edges"],
             doc.get("squares", ()),
-            labels=labels,
-            coords=doc.get("coords"),
+            labels={int(k): v for k, v in labels.items()},
+            coords=coords,
         )
+
+
+def json_int(v) -> bool:
+    """True for a JSON integer (bools are ints in Python but not here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def json_int_rows(v, width=None) -> bool:
+    """True for a JSON list of integer lists, each ``width`` long if given."""
+    return isinstance(v, list) and all(
+        isinstance(row, list)
+        and (width is None or len(row) == width)
+        and all(json_int(i) for i in row)
+        for row in v
+    )
 
 
 @dataclass(frozen=True)
@@ -221,12 +251,14 @@ def gamma(x: PrecubicalSet) -> GammaSet:
     return x._gamma
 
 
-def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap: int = DEFAULT_PATH_CAP):
+def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
     """All monotone edge paths a -> b, in lexicographic vertex order.
 
-    Raises PathCapExceeded when more than ``cap`` paths exist and
-    ModelError when b is unreachable from a.
+    Raises PathCapExceeded when more than ``cap`` paths exist (default
+    DEFAULT_PATH_CAP) and ModelError when b is unreachable from a.
     """
+    if cap is None:
+        cap = DEFAULT_PATH_CAP
     if not reachable(x, a, b):
         raise ModelError(f"vertex {b} is not reachable from {a}")
     # restrict the search to vertices that can still reach b

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
-from .traceclass import elementary_arrows, extend_class, trace_classes
+from .traceclass import arrow_action, elementary_arrows, extend_class, trace_classes
 
 DEFAULT_PART_CAP = 6
 GAMMA_CAP = 2500
@@ -32,16 +32,13 @@ class SectionPartition:
 def _arrow_table(x: PrecubicalSet, cap=None):
     """Per pair: class count and internal-constraint arrows
     (target pair, action tuple)."""
-    kwargs = {} if cap is None else {"cap": cap}
     pairs = tuple(gamma(x))
     counts = {}
     arrows = {}
     for pair in pairs:
-        counts[pair] = trace_classes(x, *pair, **kwargs).count
+        counts[pair] = trace_classes(x, *pair, cap=cap).count
         arrows[pair] = [
-            (ar.target,
-             tuple(extend_class(x, ar, c, **kwargs)
-                   for c in range(counts[pair])))
+            (ar.target, arrow_action(x, ar, cap=cap))
             for ar in elementary_arrows(x, pair)
         ]
     return pairs, counts, arrows
@@ -93,7 +90,6 @@ def _feasible_choice(part, counts, arrows):
 
 
 def verify_partition(x: PrecubicalSet, sp: SectionPartition, cap=None) -> bool:
-    kwargs = {} if cap is None else {"cap": cap}
     pairs = set(gamma(x))
     seen = set()
     for part in sp.parts:
@@ -105,19 +101,22 @@ def verify_partition(x: PrecubicalSet, sp: SectionPartition, cap=None) -> bool:
     for part in sp.parts:
         for pair in part:
             choice = sp.choices.get(pair)
-            count = trace_classes(x, *pair, **kwargs).count
+            count = trace_classes(x, *pair, cap=cap).count
             if choice is None or not (0 <= choice < count):
                 return False
             for ar in elementary_arrows(x, pair):
                 if ar.target in part:
-                    if extend_class(x, ar, choice, **kwargs) != sp.choices[ar.target]:
+                    if extend_class(x, ar, choice, cap=cap) != sp.choices[ar.target]:
                         return False
     return True
 
 
 def ditc_upper(x: PrecubicalSet, cap=None):
     """Greedy bound: repeatedly extract a maximal compatible pair set."""
-    pairs, counts, arrows = _arrow_table(x, cap=cap)
+    return _greedy(*_arrow_table(x, cap=cap))
+
+
+def _greedy(pairs, counts, arrows):
     remaining = list(pairs)
     parts = []
     choices = {}
@@ -143,12 +142,12 @@ def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP, path_cap=None):
     greedy bound as incumbent.  Raises BudgetExceeded when the search
     space or the part cap is exhausted before optimality is proved.
     """
-    pairs, counts, arrows = _arrow_table(x, cap=path_cap)
-    if len(pairs) > GAMMA_CAP:
+    n_pairs = len(gamma(x))
+    if n_pairs > GAMMA_CAP:
         raise BudgetExceeded(
-            f"{len(pairs)} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
-
-    n_upper, sp_upper = ditc_upper(x, cap=path_cap)
+            f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
+    pairs, counts, arrows = _arrow_table(x, cap=path_cap)
+    n_upper, sp_upper = _greedy(pairs, counts, arrows)
     if n_upper == 1:
         return 1, sp_upper
     order = sorted(pairs, key=lambda p: (-counts[p], p))

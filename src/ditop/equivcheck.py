@@ -8,15 +8,22 @@ equivalence: induced class maps must be bijections, the composites must
 be directed-homotopic to identities, and four families of extension
 diagrams must admit matching arrows.  ``check_strong`` verifies the
 stronger pointwise conditions that imply the diagrammatic ones.
+
+Every condition is symmetric in the two maps.  Diagram families A and D
+are one check with the roles of (x, f, F) and (y, g, G) swapped, and so
+are families B and C, strong conditions (a) and (b), and strong
+conditions (c) and (d); each is written once and run once per side.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
-from .cubecore import DPath, PrecubicalSet, concat, gamma, reachable
+from .cubecore import DPath, PrecubicalSet, concat, gamma, json_int, reachable
 from .errors import ModelError
-from .traceclass import ExtensionArrow, class_of, elementary_arrows, extend_class, trace_classes
+from .traceclass import (
+    ExtensionArrow, arrow_action, class_of, elementary_arrows, trace_classes)
 
 DEFAULT_SEARCH_DEPTH = 2
 
@@ -47,13 +54,25 @@ class DMapData:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid dmap file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ModelError("dmap file must hold a JSON object")
         for key in ("vertex_map", "edge_map", "square_map"):
             if key not in doc:
                 raise ModelError(f"dmap file needs '{key}'")
+        vm = doc["vertex_map"]
+        if not (isinstance(vm, list) and all(json_int(v) for v in vm)):
+            raise ModelError("'vertex_map' must be a list of integers")
+        for key in ("edge_map", "square_map"):
+            if not (isinstance(doc[key], list) and all(
+                isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and json_int(entry[1])
+                for entry in doc[key]
+            )):
+                raise ModelError(f"'{key}' must be a list of [tag, integer] pairs")
         return cls(
-            tuple(doc["vertex_map"]),
-            tuple((tag, int(i)) for tag, i in doc["edge_map"]),
-            tuple((tag, int(i)) for tag, i in doc["square_map"]),
+            tuple(vm),
+            tuple((tag, i) for tag, i in doc["edge_map"]),
+            tuple((tag, i) for tag, i in doc["square_map"]),
         )
 
 
@@ -61,12 +80,10 @@ def dmap_violations(x: PrecubicalSet, y: PrecubicalSet, f: DMapData):
     """All structural violations of f as a map x -> y, as messages."""
     out = []
     vm, em, sm = f.vertex_map, f.edge_map, f.square_map
-    if len(vm) != x.n_vertices:
-        return [f"vertex map has {len(vm)} entries, expected {x.n_vertices}"]
-    if len(em) != len(x.edges):
-        return [f"edge map has {len(em)} entries, expected {len(x.edges)}"]
-    if len(sm) != len(x.squares):
-        return [f"square map has {len(sm)} entries, expected {len(x.squares)}"]
+    for name, entries, n in (("vertex", vm, x.n_vertices), ("edge", em, len(x.edges)),
+                             ("square", sm, len(x.squares))):
+        if len(entries) != n:
+            return [f"{name} map has {len(entries)} entries, expected {n}"]
     for v, w in enumerate(vm):
         if not (0 <= w < y.n_vertices):
             out.append(f"vertex {v} maps to unknown vertex {w}")
@@ -150,14 +167,12 @@ def dmap_from_vertex_map(x: PrecubicalSet, y: PrecubicalSet, vm) -> DMapData:
         tags = {ib[0], ir[0], il[0], it[0]}
         if tags == {"v"}:
             sm.append(("v", ib[1]))
-        elif ib[0] == "v" and it[0] == "v":
-            if il != ir:
+        elif "v" == ib[0] == it[0] or "v" == il[0] == ir[0]:
+            # collapsed along one axis: the two edges across it must agree
+            e1, e2 = (il, ir) if "v" == ib[0] == it[0] else (ib, it)
+            if e1 != e2:
                 raise ModelError(f"square ({b},{r},{l},{t}) has no image")
-            sm.append(("e", il[1]))
-        elif il[0] == "v" and ir[0] == "v":
-            if ib != it:
-                raise ModelError(f"square ({b},{r},{l},{t}) has no image")
-            sm.append(("e", ib[1]))
+            sm.append(("e", e1[1]))
         else:
             key = (ib[1], ir[1], il[1], it[1])
             if "v" in tags or key not in square_index:
@@ -177,15 +192,12 @@ def compose_dmaps(f: DMapData, g: DMapData) -> DMapData:
         return g.edge_map[i]
 
     em = tuple(push_edge(entry) for entry in f.edge_map)
-    sm = []
-    for tag, i in f.square_map:
-        if tag == "v":
-            sm.append(("v", g.vertex_map[i]))
-        elif tag == "e":
-            sm.append(push_edge(("e", i)))
-        else:
-            sm.append(g.square_map[i])
-    return DMapData(vm, em, tuple(sm))
+    # a square collapsed to a vertex or an edge pushes forward like one
+    sm = tuple(
+        g.square_map[i] if tag == "s" else push_edge((tag, i))
+        for tag, i in f.square_map
+    )
+    return DMapData(vm, em, sm)
 
 
 def map_path(f: DMapData, p: DPath) -> DPath:
@@ -198,11 +210,8 @@ def map_path(f: DMapData, p: DPath) -> DPath:
 def induced_class_map(x, y, f, a, b, cap=None):
     """Tuple sending each class id at (a,b) in x to a class id at
     (f(a),f(b)) in y."""
-    kwargs = {} if cap is None else {"cap": cap}
-    cs = trace_classes(x, a, b, **kwargs)
-    return tuple(
-        class_of(y, map_path(f, rep), **kwargs) for rep in cs.representatives
-    )
+    cs = trace_classes(x, a, b, cap=cap)
+    return tuple(class_of(y, map_path(f, rep), cap=cap) for rep in cs.representatives)
 
 
 # -- equivalence checking ----------------------------------------------------
@@ -235,10 +244,13 @@ class EquivFailure:
     exhausted: bool = False
 
 
+# One map of the pair: m runs own -> other; per pair of own, fwd is the
+# induced class map and inv its inverse (F on the f side, G on the g side).
+_Side = namedtuple("_Side", "own other m fwd inv")
+
+
 def _first_path(w: PrecubicalSet, u, v):
-    """Lexicographically first dipath u -> v, or None."""
-    if not reachable(w, u, v):
-        return None
+    """Lexicographically first dipath u -> v; v must be reachable."""
     acc = []
     at = u
     while at != v:
@@ -251,20 +263,16 @@ def _first_path(w: PrecubicalSet, u, v):
 
 
 def _bounded_paths(w: PrecubicalSet, u, v, depth):
-    """All dipaths u -> v with at most ``depth`` edges."""
+    """All dipaths u -> v with at most ``depth`` edges, in depth-first
+    order."""
     out = []
-
-    def dfs(at, acc):
+    stack = [(u, ())]
+    while stack:
+        at, acc = stack.pop()
         if at == v:
-            out.append(DPath(u, tuple(acc)))
-        if len(acc) >= depth:
-            return
-        for e in w.out_edges(at):
-            acc.append(e)
-            dfs(w.edges[e][1], acc)
-            acc.pop()
-
-    dfs(u, [])
+            out.append(DPath(u, acc))
+        if len(acc) < depth:
+            stack.extend((w.edges[e][1], acc + (e,)) for e in reversed(w.out_edges(at)))
     return out
 
 
@@ -287,42 +295,133 @@ def _homotopic_to_identity(w: PrecubicalSet, h: DMapData, cap=None):
     therefore conservative only for models where class sets are not all
     singletons.
     """
-    kwargs = {} if cap is None else {"cap": cap}
     vm = h.vertex_map
-    if all(vm[v] == v for v in range(w.n_vertices)):
-        return True
-    for forward in (True, False):
-        if forward:
-            ok = all(reachable(w, v, vm[v]) for v in range(w.n_vertices))
-        else:
-            ok = all(reachable(w, vm[v], v) for v in range(w.n_vertices))
-        if not ok:
-            continue
-        conn = {
-            v: _first_path(w, v, vm[v]) if forward else _first_path(w, vm[v], v)
-            for v in range(w.n_vertices)
-        }
-        good = True
-        for a, b in gamma(w):
-            cs = trace_classes(w, a, b, **kwargs)
-            for rep in cs.representatives:
-                hp = map_path(h, rep)
-                if forward:
-                    # p * w_b against w_a * h(p), both a -> h(b)
-                    lhs = concat(w, rep, conn[b])
-                    rhs = concat(w, conn[a], hp)
-                else:
-                    # w_a * p against h(p) * w_b, both h(a) -> b
-                    lhs = concat(w, conn[a], rep)
-                    rhs = concat(w, hp, conn[b])
-                if class_of(w, lhs, **kwargs) != class_of(w, rhs, **kwargs):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
+    return all(vm[v] == v for v in range(w.n_vertices)) or any(
+        _connection_commutes(w, h, forward, cap) for forward in (True, False))
+
+
+def _connection_commutes(w, h, forward, cap):
+    """Do the first dipaths w_v from each v to h(v) (forward) or back
+    commute with h on every class representative p at every pair (a, b)?
+    Forward, p * w_b against w_a * h(p), both a -> h(b); backward,
+    h(p) * w_b against w_a * p, both h(a) -> b."""
+    vm = h.vertex_map
+    ends = [(v, vm[v]) if forward else (vm[v], v) for v in range(w.n_vertices)]
+    if not all(reachable(w, s, t) for s, t in ends):
+        return False
+    conn = [_first_path(w, s, t) for s, t in ends]
+    for a, b in gamma(w):
+        for rep in trace_classes(w, a, b, cap=cap).representatives:
+            hp = map_path(h, rep)
+            p, q = (rep, hp) if forward else (hp, rep)
+            if (class_of(w, concat(w, p, conn[b]), cap=cap)
+                    != class_of(w, concat(w, conn[a], q), cap=cap)):
+                return False
+    return True
+
+
+def _stages_1_to_3(x, y, f, g, cap):
+    """Stages 1-3 of both checks: dmap validation, class bijections of f
+    then g, homotopies of g*f then f*g to the identities.  Returns
+    (None, (f side, g side)) or (EquivFailure, None)."""
+    for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
+        bad = dmap_violations(src, tgt, m)
+        if bad:
+            raise ModelError(f"invalid dmap {name}: {bad[0]}")
+    sides = []
+    for name, own, other, m in (("f", x, y, f), ("g", y, x, g)):
+        fwd, inv = {}, {}
+        for a, b in gamma(own):
+            img = induced_class_map(own, other, m, a, b, cap=cap)
+            n_target = trace_classes(
+                other, m.vertex_map[a], m.vertex_map[b], cap=cap).count
+            if len(set(img)) != len(img) or len(img) != n_target:
+                return EquivFailure(
+                    f"{name}-class-bijection", (a, b),
+                    f"{len(img)} classes map onto {len(set(img))} of {n_target}",
+                ), None
+            fwd[(a, b)] = img
+            inv[(a, b)] = tuple(img.index(i) for i in range(n_target))
+        sides.append(_Side(own, other, m, fwd, inv))
+    for stage, name, w, first, then in (
+        ("gf-homotopy", "g*f", x, f, g), ("fg-homotopy", "f*g", y, g, f)
+    ):
+        if not _homotopic_to_identity(w, compose_dmaps(first, then), cap=cap):
+            return EquivFailure(
+                stage, (), f"{name} admits no directed homotopy to id"), None
+    return None, tuple(sides)
+
+
+def _commutes(side, src, tgt, act_own, act_other):
+    """Do the class map of ``side`` and its inverse commute, from pair
+    ``src`` to pair ``tgt``, with the actions of two arrows?"""
+    fwd, inv = side.fwd, side.inv
+    return (
+        all(fwd[tgt][act_own[c]] == act_other[fwd[src][c]]
+            for c in range(len(act_own)))
+        and all(inv[tgt][act_other[w]] == act_own[inv[src][w]]
+                for w in range(len(act_other)))
+    )
+
+
+def _forward_family(label, side, depth, cap, matches):
+    """Family A on the f side, D on the g side: each elementary arrow of
+    the own model needs a commuting arrow between the image pairs.
+    Returns an EquivFailure or None and fills ``matches``."""
+    own, other, mv = side.own, side.other, side.m.vertex_map
+    for a, b in gamma(own):
+        for ar in elementary_arrows(own, (a, b)):
+            a2, b2 = ar.target
+            act_own = arrow_action(own, ar, cap)
+            cands = _arrow_candidates(
+                other, (mv[a], mv[b]), (mv[a2], mv[b2]), depth)
+            hit = next(
+                (cand for cand in cands if _commutes(
+                    side, (a, b), (a2, b2), act_own, arrow_action(other, cand, cap))),
+                None)
+            if hit is None:
+                return EquivFailure(
+                    f"diagram-{label}", ((a, b), (a2, b2)),
+                    "no matching target arrow commutes", exhausted=True)
+            matches[(label, (a, b), (a2, b2))] = hit
+    return None
+
+
+def _lifting_obligations(side):
+    """Per pair (c, d) of the own model, each elementary arrow of the
+    other model from its image into an image pair, with the preimages of
+    that pair that extend (c, d).  Other arrows carry no obligation."""
+    own, mv = side.own, side.m.vertex_map
+    image = {}
+    for a, b in gamma(own):
+        image.setdefault((mv[a], mv[b]), []).append((a, b))
+    for c, d in gamma(own):
+        for ar in elementary_arrows(side.other, (mv[c], mv[d])):
+            if ar.target in image:
+                yield (c, d), ar, [
+                    (c2, d2) for c2, d2 in image[ar.target]
+                    if reachable(own, c2, c) and reachable(own, d, d2)
+                ]
+
+
+def _lifting_family(label, side, depth, cap, matches):
+    """Family B on the g side, C on the f side: each lifting obligation
+    needs a commuting arrow of the own model into some preimage.  Returns
+    an EquivFailure or None and fills ``matches``."""
+    own = side.own
+    for src, ar, pre in _lifting_obligations(side):
+        act_other = arrow_action(side.other, ar, cap)
+        found = next(
+            ((tgt, cand) for tgt in pre
+             for cand in _arrow_candidates(own, src, tgt, depth)
+             if _commutes(side, src, tgt, arrow_action(own, cand, cap), act_other)),
+            None)
+        if found is None:
+            return EquivFailure(
+                f"diagram-{label}", (src, ar.target),
+                "no source-side preimage arrow commutes", exhausted=bool(pre))
+        matches[(label, src, ar.target)] = found
+    return None
 
 
 def check_dihomotopy_equivalence(x, y, f, g, depth=DEFAULT_SEARCH_DEPTH, cap=None):
@@ -334,343 +433,74 @@ def check_dihomotopy_equivalence(x, y, f, g, depth=DEFAULT_SEARCH_DEPTH, cap=Non
     then four diagram families demanding matching extension arrows, with
     the existential search bounded by ``depth``.
     """
-    kwargs = {} if cap is None else {"cap": cap}
-    for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
-        bad = dmap_violations(src, tgt, m)
-        if bad:
-            raise ModelError(f"invalid dmap {name}: {bad[0]}")
-
-    fv, gv = f.vertex_map, g.vertex_map
-
-    # stage 1 and 2: induced class maps must be bijections
-    F = {}
-    for a, b in gamma(x):
-        img = induced_class_map(x, y, f, a, b, **kwargs)
-        n_target = trace_classes(y, fv[a], fv[b], **kwargs).count
-        if len(set(img)) != len(img) or len(img) != n_target:
-            return False, EquivFailure(
-                "f-class-bijection", (a, b),
-                f"{len(img)} classes map onto {len(set(img))} of {n_target}",
-            )
-        F[(a, b)] = tuple(img.index(i) for i in range(n_target))  # inverse
-    G = {}
-    for c, d in gamma(y):
-        img = induced_class_map(y, x, g, c, d, **kwargs)
-        n_target = trace_classes(x, gv[c], gv[d], **kwargs).count
-        if len(set(img)) != len(img) or len(img) != n_target:
-            return False, EquivFailure(
-                "g-class-bijection", (c, d),
-                f"{len(img)} classes map onto {len(set(img))} of {n_target}",
-            )
-        G[(c, d)] = tuple(img.index(i) for i in range(n_target))
-
-    # stage 3: composites directed-homotopic to the identities
-    if not _homotopic_to_identity(x, compose_dmaps(f, g), **kwargs):
-        return False, EquivFailure(
-            "gf-homotopy", (), "g*f admits no directed homotopy to id")
-    if not _homotopic_to_identity(y, compose_dmaps(g, f), **kwargs):
-        return False, EquivFailure(
-            "fg-homotopy", (), "f*g admits no directed homotopy to id")
-
-    def action(w, arrow):
-        src_count = trace_classes(w, *arrow.source, **kwargs).count
-        return tuple(
-            extend_class(w, arrow, c, **kwargs) for c in range(src_count)
-        )
-
-    def fwd_class_map(w1, w2, m, pair):
-        return induced_class_map(w1, w2, m, *pair, **kwargs)
-
+    failure, sides = _stages_1_to_3(x, y, f, g, cap)
+    if failure is not None:
+        return False, failure
+    f_side, g_side = sides
     matches = {}
+    for label, family, side in (
+        ("A", _forward_family, f_side),
+        ("B", _lifting_family, g_side),
+        ("C", _lifting_family, f_side),
+        ("D", _forward_family, g_side),
+    ):
+        failure = family(label, side, depth, cap, matches)
+        if failure is not None:
+            return False, failure
+    return True, EquivalenceCertificate(
+        x, y, f, g, f_side.inv, g_side.inv, matches, depth)
 
-    def find_match(candidates, check):
-        for cand in candidates:
-            if check(cand):
-                return cand
-        return None
 
-    # stage 4: the four diagram families
-    for a, b in gamma(x):
-        fa, fb = fv[a], fv[b]
-        for ar in elementary_arrows(x, (a, b)):
+def _strong_push(side, cap):
+    """Strong condition (a) on the f side, (b) on the g side: each
+    elementary arrow of the own model commutes with its image arrow."""
+    own, m, mv = side.own, side.m, side.m.vertex_map
+    for a, b in gamma(own):
+        for ar in elementary_arrows(own, (a, b)):
             a2, b2 = ar.target
-            act_x = action(x, ar)
-            pf_src = fwd_class_map(x, y, f, (a, b))
-            pf_tgt = fwd_class_map(x, y, f, (a2, b2))
-
-            def commutes_a(cand, act_x=act_x, pf_src=pf_src, pf_tgt=pf_tgt,
-                           a2=a2, b2=b2, ab=(a, b)):
-                act_y = action(y, cand)
-                n_x = len(act_x)
-                n_y = len(act_y)
-                if any(pf_tgt[act_x[c]] != act_y[pf_src[c]] for c in range(n_x)):
-                    return False
-                return all(
-                    F[(a2, b2)][act_y[w]] == act_x[F[ab][w]] for w in range(n_y)
-                )
-
-            cands = _arrow_candidates(y, (fa, fb), (fv[a2], fv[b2]), depth)
-            hit = find_match(cands, commutes_a)
-            if hit is None:
-                return False, EquivFailure(
-                    "diagram-A", ((a, b), (a2, b2)),
-                    "no matching target arrow commutes", exhausted=True)
-            matches[("A", (a, b), (a2, b2))] = hit
-
-    image_y = {}
-    for c2, d2 in gamma(y):
-        image_y.setdefault((gv[c2], gv[d2]), []).append((c2, d2))
-    for c, d in gamma(y):
-        gc, gd = gv[c], gv[d]
-        for ar in elementary_arrows(x, (gc, gd)):
-            u2, v2 = ar.target
-            if (u2, v2) not in image_y:
-                continue  # target outside the image, no obligation
-            pre = [
-                (c2, d2) for c2, d2 in image_y[(u2, v2)]
-                if reachable(y, c2, c) and reachable(y, d, d2)
-            ]
-            act_x = action(x, ar)
-            pg_src = fwd_class_map(y, x, g, (c, d))
-            found = None
-            for c2, d2 in pre:
-                pg_tgt = fwd_class_map(y, x, g, (c2, d2))
-
-                def commutes_b(cand, act_x=act_x, pg_src=pg_src,
-                               pg_tgt=pg_tgt, cd=(c, d), c2=c2, d2=d2):
-                    act_y = action(y, cand)
-                    n_y = len(act_y)
-                    n_x = len(act_x)
-                    if any(act_x[pg_src[w]] != pg_tgt[act_y[w]] for w in range(n_y)):
-                        return False
-                    return all(
-                        G[(c2, d2)][act_x[v]] == act_y[G[cd][v]] for v in range(n_x)
-                    )
-
-                hit = find_match(
-                    _arrow_candidates(y, (c, d), (c2, d2), depth), commutes_b)
-                if hit is not None:
-                    found = ((c2, d2), hit)
-                    break
-            if found is None:
-                return False, EquivFailure(
-                    "diagram-B", ((c, d), (u2, v2)),
-                    "no source-side preimage arrow commutes",
-                    exhausted=bool(pre))
-            matches[("B", (c, d), (u2, v2))] = found
-
-    image_x = {}
-    for a2, b2 in gamma(x):
-        image_x.setdefault((fv[a2], fv[b2]), []).append((a2, b2))
-    for a, b in gamma(x):
-        fa, fb = fv[a], fv[b]
-        for ar in elementary_arrows(y, (fa, fb)):
-            u2, v2 = ar.target
-            if (u2, v2) not in image_x:
-                continue  # target outside the image, no obligation
-            pre = [
-                (a2, b2) for a2, b2 in image_x[(u2, v2)]
-                if reachable(x, a2, a) and reachable(x, b, b2)
-            ]
-            act_y = action(y, ar)
-            pf_src = fwd_class_map(x, y, f, (a, b))
-            found = None
-            for a2, b2 in pre:
-                pf_tgt = fwd_class_map(x, y, f, (a2, b2))
-
-                def commutes_c(cand, act_y=act_y, pf_src=pf_src,
-                               pf_tgt=pf_tgt, ab=(a, b), a2=a2, b2=b2):
-                    act_x = action(x, cand)
-                    n_x = len(act_x)
-                    n_y = len(act_y)
-                    if any(act_y[pf_src[c]] != pf_tgt[act_x[c]] for c in range(n_x)):
-                        return False
-                    return all(
-                        act_x[F[ab][w]] == F[(a2, b2)][act_y[w]] for w in range(n_y)
-                    )
-
-                hit = find_match(
-                    _arrow_candidates(x, (a, b), (a2, b2), depth), commutes_c)
-                if hit is not None:
-                    found = ((a2, b2), hit)
-                    break
-            if found is None:
-                return False, EquivFailure(
-                    "diagram-C", ((a, b), (u2, v2)),
-                    "no source-side preimage arrow commutes",
-                    exhausted=bool(pre))
-            matches[("C", (a, b), (u2, v2))] = found
-
-    for c, d in gamma(y):
-        gc, gd = gv[c], gv[d]
-        for ar in elementary_arrows(y, (c, d)):
-            c2, d2 = ar.target
-            act_y = action(y, ar)
-            pg_src = fwd_class_map(y, x, g, (c, d))
-            pg_tgt = fwd_class_map(y, x, g, (c2, d2))
-
-            def commutes_d(cand, act_y=act_y, pg_src=pg_src, pg_tgt=pg_tgt,
-                           cd=(c, d), c2=c2, d2=d2):
-                act_x = action(x, cand)
-                n_y = len(act_y)
-                n_x = len(act_x)
-                if any(pg_tgt[act_y[w]] != act_x[pg_src[w]] for w in range(n_y)):
-                    return False
-                return all(
-                    act_y[G[cd][v]] == G[(c2, d2)][act_x[v]] for v in range(n_x)
-                )
-
-            cands = _arrow_candidates(x, (gc, gd), (gv[c2], gv[d2]), depth)
-            hit = find_match(cands, commutes_d)
-            if hit is None:
-                return False, EquivFailure(
-                    "diagram-D", ((c, d), (c2, d2)),
-                    "no matching target arrow commutes", exhausted=True)
-            matches[("D", (c, d), (c2, d2))] = hit
-
-    return True, EquivalenceCertificate(x, y, f, g, F, G, matches, depth)
+            m_ar = ExtensionArrow(
+                (mv[a], mv[b]), (mv[a2], mv[b2]),
+                map_path(m, ar.alpha), map_path(m, ar.beta))
+            if not _commutes(side, (a, b), (a2, b2), arrow_action(own, ar, cap),
+                             arrow_action(side.other, m_ar, cap)):
+                return False
+    return True
 
 
-def check_strong(x, y, f, g, F=None, G=None, cap=None) -> bool:
+def _strong_lift(side, cap):
+    """Strong condition (c) on the f side, (d) on the g side: each lifting
+    obligation commutes, for some preimage, with the own arrow whose
+    prefix and suffix represent the inverse images of its own."""
+    own, other, inv = side.own, side.other, side.inv
+
+    def lift(a, b, path):
+        cl = class_of(other, path, cap=cap) if path.edges else 0
+        return trace_classes(own, a, b, cap=cap).representatives[inv[(a, b)][cl]]
+
+    for (a, b), ar, pre in _lifting_obligations(side):
+        act_other = arrow_action(other, ar, cap)
+        for a2, b2 in pre:
+            lifted = ExtensionArrow(
+                (a, b), (a2, b2), lift(a2, a, ar.alpha), lift(b, b2, ar.beta))
+            if _commutes(side, (a, b), (a2, b2), arrow_action(own, lifted, cap), act_other):
+                break
+        else:
+            return False
+    return True
+
+
+def check_strong(x, y, f, g, cap=None) -> bool:
     """Pointwise naturality conditions on (f, g, F, G).
 
-    F and G default to the inverses of the induced class maps; a
-    non-bijective induced map makes the check fail (the data F/G it
-    requires does not exist).
+    F and G are the inverses of the induced class maps; a non-bijective
+    induced map or a failed homotopy to the identity fails the check.
     """
-    kwargs = {} if cap is None else {"cap": cap}
-    for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
-        bad = dmap_violations(src, tgt, m)
-        if bad:
-            raise ModelError(f"invalid dmap {name}: {bad[0]}")
-    fv, gv = f.vertex_map, g.vertex_map
-
-    if F is None:
-        F = {}
-        for a, b in gamma(x):
-            img = induced_class_map(x, y, f, a, b, **kwargs)
-            n = trace_classes(y, fv[a], fv[b], **kwargs).count
-            if len(set(img)) != len(img) or len(img) != n:
-                return False
-            F[(a, b)] = tuple(img.index(i) for i in range(n))
-    if G is None:
-        G = {}
-        for c, d in gamma(y):
-            img = induced_class_map(y, x, g, c, d, **kwargs)
-            n = trace_classes(x, gv[c], gv[d], **kwargs).count
-            if len(set(img)) != len(img) or len(img) != n:
-                return False
-            G[(c, d)] = tuple(img.index(i) for i in range(n))
-
-    if not _homotopic_to_identity(x, compose_dmaps(f, g), **kwargs):
+    failure, sides = _stages_1_to_3(x, y, f, g, cap)
+    if failure is not None:
         return False
-    if not _homotopic_to_identity(y, compose_dmaps(g, f), **kwargs):
-        return False
-
-    def reps(w, pair):
-        return trace_classes(w, *pair, **kwargs).representatives
-
-    # (a): extending before or after applying F agrees
-    for a, b in gamma(x):
-        for ar in elementary_arrows(x, (a, b)):
-            a2, b2 = ar.target
-            f_ar = ExtensionArrow(
-                (fv[a], fv[b]), (fv[a2], fv[b2]),
-                map_path(f, ar.alpha), map_path(f, ar.beta))
-            for vcl, rep in enumerate(reps(y, (fv[a], fv[b]))):
-                lhs = F[(a2, b2)][extend_class(y, f_ar, vcl, **kwargs)]
-                rhs = class_of(
-                    x,
-                    concat(x, concat(x, ar.alpha,
-                                     reps(x, (a, b))[F[(a, b)][vcl]]), ar.beta),
-                    **kwargs)
-                if lhs != rhs:
-                    return False
-
-    # (b): symmetric condition for g and G
-    for c, d in gamma(y):
-        for ar in elementary_arrows(y, (c, d)):
-            c2, d2 = ar.target
-            g_ar = ExtensionArrow(
-                (gv[c], gv[d]), (gv[c2], gv[d2]),
-                map_path(g, ar.alpha), map_path(g, ar.beta))
-            for vcl, rep in enumerate(reps(x, (gv[c], gv[d]))):
-                lhs = G[(c2, d2)][extend_class(x, g_ar, vcl, **kwargs)]
-                rhs = class_of(
-                    y,
-                    concat(y, concat(y, ar.alpha,
-                                     reps(y, (c, d))[G[(c, d)][vcl]]), ar.beta),
-                    **kwargs)
-                if lhs != rhs:
-                    return False
-
-    # (c): extensions of image pairs in y lift through F for some preimage
-    image_x = {}
-    for a2, b2 in gamma(x):
-        image_x.setdefault((fv[a2], fv[b2]), []).append((a2, b2))
-    for a, b in gamma(x):
-        fa, fb = fv[a], fv[b]
-        for ar in elementary_arrows(y, (fa, fb)):
-            u2, v2 = ar.target
-            if (u2, v2) not in image_x:
-                continue
-            gcl = class_of(y, ar.alpha, **kwargs) if ar.alpha.edges else 0
-            dcl = class_of(y, ar.beta, **kwargs) if ar.beta.edges else 0
-            ok = False
-            for a2, b2 in image_x[(u2, v2)]:
-                if not (reachable(x, a2, a) and reachable(x, b, b2)):
-                    continue
-                if (a2, a) not in F or (b, b2) not in F:
-                    continue
-                for pcl, rep in enumerate(reps(y, (fa, fb))):
-                    lhs = F[(a2, b2)][extend_class(y, ar, pcl, **kwargs)]
-                    al = reps(x, (a2, a))[F[(a2, a)][gcl]]
-                    be = reps(x, (b, b2))[F[(b, b2)][dcl]]
-                    mid = reps(x, (a, b))[F[(a, b)][pcl]]
-                    rhs = class_of(
-                        x, concat(x, concat(x, al, mid), be), **kwargs)
-                    if lhs != rhs:
-                        break
-                else:
-                    ok = True
-                    break
-            if not ok:
-                return False
-
-    # (d): symmetric condition through G
-    image_y = {}
-    for c2, d2 in gamma(y):
-        image_y.setdefault((gv[c2], gv[d2]), []).append((c2, d2))
-    for c, d in gamma(y):
-        gc, gd = gv[c], gv[d]
-        for ar in elementary_arrows(x, (gc, gd)):
-            u2, v2 = ar.target
-            if (u2, v2) not in image_y:
-                continue
-            acl = class_of(x, ar.alpha, **kwargs) if ar.alpha.edges else 0
-            bcl = class_of(x, ar.beta, **kwargs) if ar.beta.edges else 0
-            ok = False
-            for c2, d2 in image_y[(u2, v2)]:
-                if not (reachable(y, c2, c) and reachable(y, d, d2)):
-                    continue
-                if (c2, c) not in G or (d, d2) not in G:
-                    continue
-                for qcl, rep in enumerate(reps(x, (gc, gd))):
-                    lhs = G[(c2, d2)][extend_class(x, ar, qcl, **kwargs)]
-                    ga = reps(y, (c2, c))[G[(c2, c)][acl]]
-                    gb = reps(y, (d, d2))[G[(d, d2)][bcl]]
-                    mid = reps(y, (c, d))[G[(c, d)][qcl]]
-                    rhs = class_of(
-                        y, concat(y, concat(y, ga, mid), gb), **kwargs)
-                    if lhs != rhs:
-                        break
-                else:
-                    ok = True
-                    break
-            if not ok:
-                return False
-
-    return True
+    f_side, g_side = sides
+    return (_strong_push(f_side, cap) and _strong_push(g_side, cap)
+            and _strong_lift(f_side, cap) and _strong_lift(g_side, cap))
 
 
 def compose_equivalences(e1: EquivalenceCertificate, e2: EquivalenceCertificate):

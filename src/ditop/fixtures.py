@@ -11,7 +11,7 @@ import itertools
 import os
 
 from .cubecore import PrecubicalSet, build_grid_complex
-from .equivcheck import DMapData, dmap_from_vertex_map
+from .equivcheck import dmap_from_vertex_map
 from .errors import ModelError
 from .pvlang import compile_pv, parse_pv
 

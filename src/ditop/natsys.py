@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
-from .errors import BudgetExceeded, PathCapExceeded
-from .traceclass import elementary_arrows, extend_class, trace_classes
+from .errors import BudgetExceeded
+from .traceclass import arrow_action, elementary_arrows, trace_classes
 
 BIJECTION_CAP = 6
 
@@ -55,24 +55,16 @@ class BisimCounterexample:
 
 
 def build_natural_system(x: PrecubicalSet, cap=None) -> NaturalClassSystem:
-    kwargs = {} if cap is None else {"cap": cap}
     objects = tuple(gamma(x))
     index = {pair: i for i, pair in enumerate(objects)}
     counts = []
     arrows = []
     for pair in objects:
-        try:
-            cs = trace_classes(x, *pair, **kwargs)
-        except PathCapExceeded:
-            raise
-        counts.append(cs.count)
-        acts = []
-        for arrow in elementary_arrows(x, pair):
-            action = tuple(
-                extend_class(x, arrow, c, **kwargs) for c in range(cs.count)
-            )
-            acts.append((index[arrow.target], action))
-        arrows.append(tuple(acts))
+        counts.append(trace_classes(x, *pair, cap=cap).count)
+        arrows.append(tuple(
+            (index[arrow.target], arrow_action(x, arrow, cap=cap))
+            for arrow in elementary_arrows(x, pair)
+        ))
     return NaturalClassSystem(objects, tuple(counts), tuple(arrows))
 
 

@@ -4,16 +4,15 @@ Two dipaths between the same endpoints are dihomotopic when they are
 connected by elementary square flips: replacing two consecutive edges
 across a 2-square by the opposite two.  Classes per endpoint pair are
 computed by a union-find quotient over the full path list and memoized
-on the complex.
+on the complex.  Every ``cap`` parameter bounds the paths enumerated per
+pair and defaults to ``cubecore.DEFAULT_PATH_CAP``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubecore import DPath, PrecubicalSet, concat, enumerate_dpaths, reachable
-from .errors import ModelError
-
-DEFAULT_PATH_CAP = 100_000
+from .cubecore import DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, enumerate_dpaths
+from .errors import ModelError, PathCapExceeded
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,16 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def trace_classes(x: PrecubicalSet, a: int, b: int, cap: int = DEFAULT_PATH_CAP) -> ClassSet:
+def trace_classes(x: PrecubicalSet, a: int, b: int, cap=None) -> ClassSet:
     """Quotient of all dipaths a -> b by elementary square flips."""
+    if cap is None:
+        cap = DEFAULT_PATH_CAP
     key = (a, b)
     cached = x._class_cache.get(key)
     if cached is not None:
+        # a set cached under a larger cap must not bypass this one
+        if len(cached.membership) > cap:
+            raise PathCapExceeded(key, cap)
         return cached
     paths = enumerate_dpaths(x, a, b, cap=cap)
     index = {p.edges: i for i, p in enumerate(paths)}
@@ -86,7 +90,7 @@ def trace_classes(x: PrecubicalSet, a: int, b: int, cap: int = DEFAULT_PATH_CAP)
     return result
 
 
-def class_of(x: PrecubicalSet, p: DPath, cap: int = DEFAULT_PATH_CAP) -> int:
+def class_of(x: PrecubicalSet, p: DPath, cap=None) -> int:
     """Class id of a path within trace_classes(start, end)."""
     end = x.check_path(p)
     cs = trace_classes(x, p.start, end, cap=cap)
@@ -96,7 +100,7 @@ def class_of(x: PrecubicalSet, p: DPath, cap: int = DEFAULT_PATH_CAP) -> int:
         raise ModelError(f"path {p} not produced by enumeration") from None
 
 
-def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int, cap: int = DEFAULT_PATH_CAP) -> int:
+def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int, cap=None) -> int:
     """Class of alpha * rep(c) * beta at the target pair."""
     sx, sy = arrow.source
     tx, ty = arrow.target
@@ -109,6 +113,12 @@ def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int, cap: int = DEF
         raise ModelError(f"class {c} not valid at pair {arrow.source}")
     extended = concat(x, concat(x, arrow.alpha, cs.representatives[c]), arrow.beta)
     return class_of(x, extended, cap=cap)
+
+
+def arrow_action(x: PrecubicalSet, arrow: ExtensionArrow, cap=None) -> tuple:
+    """The action of an arrow, tabulated over the classes of its source."""
+    n = trace_classes(x, *arrow.source, cap=cap).count
+    return tuple(extend_class(x, arrow, c, cap=cap) for c in range(n))
 
 
 def identity_arrow(pair) -> ExtensionArrow:

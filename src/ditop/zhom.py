@@ -33,16 +33,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for ra in a
-    ]
-
-
 def smith_normal_form(m) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row/column operations,
     pivoting on the smallest nonzero entry."""
@@ -173,10 +163,9 @@ class SectionWitness:
 def section_exists(x: PrecubicalSet, cap=None):
     """Discrete section criterion: every pair in Gamma has exactly one
     class.  Returns (True, SectionWitness) or (False, obstruction pair)."""
-    kwargs = {} if cap is None else {"cap": cap}
     choices = {}
     for pair in gamma(x):
-        cs = trace_classes(x, *pair, **kwargs)
+        cs = trace_classes(x, *pair, cap=cap)
         if cs.count != 1:
             return False, pair
         choices[pair] = 0

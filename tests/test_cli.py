@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ditop
 
 from ditop.cli import run
 from ditop.cubecore import PrecubicalSet
@@ -159,3 +165,103 @@ def test_budget_exceeded_exit_2(tmp_path, capsys):
 
 def test_usage_error_exit_1(capsys):
     assert run(["classes"]) == 1
+
+
+def test_json_only_goes_after_the_subcommand(pv1_file, capsys):
+    assert run(["--json-only", "nathom", "--pv", pv1_file]) == 1
+    assert "unrecognized arguments: --json-only" in capsys.readouterr().err
+
+
+def test_exact_flag_removed(pv1_file, capsys):
+    # exact is the default mode; only --upper selects the other
+    assert run(["ditc", "--pv", pv1_file, "--exact"]) == 1
+
+
+def test_run_sets_no_environment(monkeypatch, pv1_file, capsys):
+    monkeypatch.delenv("DITOP_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run(["classes", "--pv", pv1_file, "--from", "0", "--to", "15"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_python_m_cli(pv1_file):
+    src = str(Path(ditop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "ditop.cli", "classes", "--pv", pv1_file,
+         "--from", "0", "--to", "15", "--json-only"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["count"] == 2
+
+
+MALFORMED_COMPLEXES = {
+    "not an object": [1, 2],
+    "a number": 5,
+    "short edge": {"vertices": 2, "edges": [[0]]},
+    "edge of strings": {"vertices": 2, "edges": [["0", "1"]]},
+    "edges not a list": {"vertices": 2, "edges": {"0": 1}},
+    "vertices a string": {"vertices": "x", "edges": []},
+    "vertices a bool": {"vertices": True, "edges": []},
+    "negative vertices": {"vertices": -1, "edges": []},
+    "short square": {"vertices": 2, "edges": [[0, 1]], "squares": [[0, 0, 0]]},
+    "square of floats": {"vertices": 2, "edges": [[0, 1]],
+                         "squares": [[0.5, 0, 0, 0]]},
+    "labels a list": {"vertices": 2, "edges": [[0, 1]], "labels": [1]},
+    "label key not a vertex": {"vertices": 2, "edges": [[0, 1]],
+                               "labels": {"a": "x"}},
+    "label not a string": {"vertices": 2, "edges": [[0, 1]], "labels": {"0": 1}},
+    "coords not a list": {"vertices": 2, "edges": [[0, 1]], "coords": 3},
+    "coords of strings": {"vertices": 2, "edges": [[0, 1]],
+                          "coords": [["a"], ["b"]]},
+    "coords too short": {"vertices": 2, "edges": [[0, 1]], "coords": [[0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEXES))
+def test_malformed_complex_exit_1(case, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(MALFORMED_COMPLEXES[case]))
+    assert run(["nathom", "--complex", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+MALFORMED_DMAPS = {
+    "not an object": [0, 1],
+    "vertex map of strings": {"vertex_map": ["0", "1"], "edge_map": [["e", 0]],
+                              "square_map": []},
+    "vertex map not a list": {"vertex_map": 0, "edge_map": [["e", 0]],
+                              "square_map": []},
+    "short edge entry": {"vertex_map": [0, 1], "edge_map": [["e"]],
+                         "square_map": []},
+    "edge index a string": {"vertex_map": [0, 1], "edge_map": [["e", "x"]],
+                            "square_map": []},
+    "edge tag not a string": {"vertex_map": [0, 1], "edge_map": [[0, 0]],
+                              "square_map": []},
+    "square map not a list": {"vertex_map": [0, 1], "edge_map": [["e", 0]],
+                              "square_map": 7},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DMAPS))
+def test_malformed_dmap_exit_1(case, tmp_path, capsys, seg):
+    x = tmp_path / "seg.json"
+    x.write_text(seg.to_json())
+    good = tmp_path / "id.json"
+    good.write_text(json.dumps({"vertex_map": [0, 1], "edge_map": [["e", 0]],
+                                "square_map": []}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_DMAPS[case]))
+    assert run(["equiv", str(x), str(x), "--f", str(bad), "--g", str(good)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--pv", "{}"],
+    ["nathom", "--complex", "{}"],
+])
+def test_undecodable_file_exit_1(argv, tmp_path, capsys):
+    p = tmp_path / "bin"
+    p.write_bytes(b"\xff\xfe")
+    assert run([a.format(p) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error:")

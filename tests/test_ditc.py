@@ -1,6 +1,7 @@
 import pytest
 
-from ditop.cubecore import build_grid_complex, gamma, grid_vertex
+from ditop import ditc
+from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma, grid_vertex
 from ditop.ditc import SectionPartition, ditc_exact, ditc_upper, verify_partition
 from ditop.errors import BudgetExceeded
 from ditop.fixtures import get_fixture
@@ -83,3 +84,24 @@ def test_full_grid_is_one():
 def test_part_cap_budget(pv1):
     with pytest.raises(BudgetExceeded):
         ditc_exact(pv1, cap=1)
+
+
+def test_gamma_cap_refused_before_any_class_is_built():
+    # a 71-vertex chain has 2,556 reachable pairs, over GAMMA_CAP
+    x = PrecubicalSet(71, [(i, i + 1) for i in range(70)])
+    with pytest.raises(BudgetExceeded, match="reachable pairs"):
+        ditc_exact(x)
+    assert x._class_cache == {}
+
+
+def test_exact_builds_the_arrow_table_once(monkeypatch, pv1):
+    calls = []
+    build = ditc._arrow_table
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ditc, "_arrow_table", counting)
+    assert ditc_exact(pv1)[0] == 2
+    assert len(calls) == 1

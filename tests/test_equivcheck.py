@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ditop.cubecore import DPath, build_grid_complex
+from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex
 from ditop.equivcheck import (
     DMapData,
     EquivFailure,
@@ -19,7 +19,7 @@ from ditop.equivcheck import (
     validate_dmap,
 )
 from ditop.errors import ModelError
-from ditop.fixtures import matchbox_maps, sf_hs_maps
+from ditop.fixtures import get_fixture, matchbox_maps, sf_hs_maps
 from ditop.natsys import bisimilar, build_natural_system
 
 from oracles import relabel_complex
@@ -183,3 +183,76 @@ def test_two_of_three_surjective():
     assert ok1 and ok21
     ok, cert = check_two_of_three_surjective(e1, e21, f2)
     assert ok, cert
+
+
+def _random_dmap(rng, x, y):
+    """A random dmap x -> y, or None.  Vertex ids of the models below run
+    in a topological order, so each vertex can pick an image that equals,
+    or is one edge on from, the image of each in-neighbour; a square
+    without an image gives None."""
+    y_edges = set(y.edges)
+    vm = []
+    for v in range(x.n_vertices):
+        sources = [vm[x.edges[e][0]] for e in x.in_edges(v)]
+        cands = [w for w in range(y.n_vertices)
+                 if all(s == w or (s, w) in y_edges for s in sources)]
+        if not cands:
+            return None
+        vm.append(rng.choice(cands))
+    try:
+        return dmap_from_vertex_map(x, y, vm)
+    except ModelError:
+        return None
+
+
+SWAP_MODELS = [
+    PrecubicalSet(1, []),
+    build_grid_complex((1,)),
+    build_grid_complex((2,)),
+    build_grid_complex((1, 1)),
+    build_grid_complex((2, 1)),
+    build_grid_complex((2, 2)),
+    build_grid_complex((1, 1, 1)),
+    build_grid_complex((3, 3), [((1, 2), (1, 2))]),
+    get_fixture("wedge"),
+    get_fixture("matchbox"),
+    get_fixture("topface"),
+]
+
+
+def test_role_swap_keeps_verdicts():
+    # (x, y, f, g) and (y, x, g, f) state the same conditions with the
+    # roles swapped, so a wrong swap inside a check shows as a verdict
+    # that depends on the order of the arguments
+    rng = random.Random(7)
+    checked = 0
+    while checked < 400:
+        x, y = rng.choice(SWAP_MODELS), rng.choice(SWAP_MODELS)
+        f, g = _random_dmap(rng, x, y), _random_dmap(rng, y, x)
+        if f is None or g is None:
+            continue
+        depth = checked % 3
+        ok, res = check_dihomotopy_equivalence(x, y, f, g, depth)
+        ok_swapped, res_swapped = check_dihomotopy_equivalence(y, x, g, f, depth)
+        assert ok == ok_swapped, (f, g, depth, res, res_swapped)
+        assert check_strong(x, y, f, g) == check_strong(y, x, g, f), (f, g)
+        checked += 1
+
+
+@pytest.mark.parametrize("x_dims, f_vm, g_vm, depth, stage", [
+    ((1,), [0, 1], [0, 0], 0, "diagram-A"),
+    ((1,), [1, 1], [0, 1], 0, "diagram-B"),
+    ((2,), [0, 0, 1], [2, 2], 1, "diagram-C"),
+])
+def test_diagram_failures_pinned(x_dims, f_vm, g_vm, depth, stage):
+    x = build_grid_complex(x_dims)
+    y = build_grid_complex((1,))
+    f = dmap_from_vertex_map(x, y, f_vm)
+    g = dmap_from_vertex_map(y, x, g_vm)
+    ok, failure = check_dihomotopy_equivalence(x, y, f, g, depth)
+    assert not ok
+    assert failure == EquivFailure(
+        stage, ((0, 0), (0, 1)),
+        "no matching target arrow commutes" if stage == "diagram-A"
+        else "no source-side preimage arrow commutes",
+        exhausted=True)

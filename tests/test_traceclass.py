@@ -1,7 +1,7 @@
 import pytest
 
 from ditop.cubecore import DPath, build_grid_complex, gamma, grid_vertex
-from ditop.errors import ModelError
+from ditop.errors import ModelError, PathCapExceeded
 from ditop.traceclass import (
     class_of,
     compose_arrows,
@@ -101,3 +101,15 @@ def test_compose_arrows_endpoint_check(pv1):
     arrows = list(elementary_arrows(pv1, (0, 5)))
     with pytest.raises(ModelError, match="compose"):
         compose_arrows(pv1, arrows[0], arrows[0])
+
+
+def test_cached_classes_respect_a_smaller_cap():
+    # the cached set holds 70 paths; a cap of 10 must refuse it as a
+    # cold model would, not return the cached answer
+    x = build_grid_complex((4, 4))
+    top = x.n_vertices - 1
+    assert trace_classes(x, 0, top).count == 1
+    with pytest.raises(PathCapExceeded) as exc:
+        trace_classes(x, 0, top, cap=10)
+    assert exc.value.pair == (0, top)
+    assert trace_classes(x, 0, top, cap=70).count == 1
