@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ModelError, PathCapExceeded
 
@@ -45,7 +46,10 @@ class PrecubicalSet:
         self.labels = dict(labels) if labels else {}
         # integer lattice coordinates per vertex, for grid models
         self.coords = tuple(tuple(c) for c in coords) if coords is not None else None
-        self._validate()
+        # position of each vertex in one topological order
+        self._rank = [0] * self.n_vertices
+        for i, v in enumerate(self._validate()):
+            self._rank[v] = i
         self._out = [[] for _ in range(self.n_vertices)]
         self._in = [[] for _ in range(self.n_vertices)]
         for i, (s, t) in enumerate(self.edges):
@@ -66,6 +70,7 @@ class PrecubicalSet:
     # -- construction checks -------------------------------------------------
 
     def _validate(self):
+        """Check the cells; return the vertices in a topological order."""
         for s, t in self.edges:
             if not (0 <= s < self.n_vertices and 0 <= t < self.n_vertices):
                 raise ModelError(f"edge ({s},{t}) has an unknown endpoint")
@@ -84,16 +89,17 @@ class PrecubicalSet:
             indeg[t] += 1
             out[s].append(t)
         queue = [v for v in range(self.n_vertices) if indeg[v] == 0]
-        seen = 0
+        order = []
         while queue:
             v = queue.pop()
-            seen += 1
+            order.append(v)
             for w in out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     queue.append(w)
-        if seen != self.n_vertices:
+        if len(order) != self.n_vertices:
             raise ModelError("edge digraph contains a directed cycle")
+        return order
 
     # -- queries -------------------------------------------------------------
 
@@ -106,6 +112,11 @@ class PrecubicalSet:
     def flip(self, e1, e2):
         """The opposite edge pair across a square, or None."""
         return self._flips.get((e1, e2))
+
+    @cached_property
+    def _vertex_at(self):
+        """Lattice point -> vertex id, for grid models."""
+        return {c: i for i, c in enumerate(self.coords)}
 
     def check_vertex(self, v):
         if not (0 <= v < self.n_vertices):
@@ -201,8 +212,12 @@ class GammaSet:
 
     pairs: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _members(self):
+        return frozenset(self.pairs)
+
     def __contains__(self, pair):
-        return pair in set(self.pairs)
+        return pair in self._members
 
     def __iter__(self):
         return iter(self.pairs)
@@ -237,18 +252,22 @@ def gamma(x: PrecubicalSet) -> GammaSet:
         return x._gamma
     pairs = []
     for a in range(x.n_vertices):
-        seen = {a}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            for e in x.out_edges(v):
-                w = x.edges[e][1]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        pairs.extend((a, b) for b in sorted(seen))
+        pairs.extend((a, b) for b in sorted(descendants(x, a)))
     x._gamma = GammaSet(tuple(pairs))
     return x._gamma
+
+
+def descendants(x: PrecubicalSet, a: int) -> set:
+    """The vertices reachable from a, a included."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        for e in x.out_edges(stack.pop()):
+            w = x.edges[e][1]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
@@ -271,24 +290,31 @@ def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
             if w not in useful:
                 useful.add(w)
                 stack.append(w)
+    if a == b:
+        if cap < 1:
+            raise PathCapExceeded((a, b), cap)
+        return [DPath(a)]
     paths = []
-    acc = []
-
-    def dfs(v):
-        if v == b:
+    acc = []  # edges of the current partial path
+    stack = [iter(x.out_edges(a))]  # one edge iterator per vertex of it
+    while stack:
+        for e in stack[-1]:
+            w = x.edges[e][1]
+            if w not in useful:
+                continue
+            acc.append(e)
+            if w != b:
+                stack.append(iter(x.out_edges(w)))
+                break
             paths.append(DPath(a, tuple(acc)))
             if len(paths) > cap:
                 raise PathCapExceeded((a, b), cap)
-            # b may have outgoing edges; the path may also continue through b
-            # only when a == b would loop, which acyclicity rules out
-        for e in x.out_edges(v):
-            w = x.edges[e][1]
-            if w in useful:
-                acc.append(e)
-                dfs(w)
+            # no path continues through b: acyclicity keeps it from returning
+            acc.pop()
+        else:
+            stack.pop()
+            if acc:
                 acc.pop()
-
-    dfs(a)
     return paths
 
 
@@ -389,7 +415,7 @@ def grid_vertex(x: PrecubicalSet, point) -> int:
     if x.coords is None:
         raise ModelError("not a grid complex")
     point = tuple(point)
-    try:
-        return x.coords.index(point)
-    except ValueError:
-        raise ModelError(f"lattice point {point} is not in the complex") from None
+    v = x._vertex_at.get(point)
+    if v is None:
+        raise ModelError(f"lattice point {point} is not in the complex")
+    return v

@@ -2,20 +2,176 @@
 
 Two dipaths between the same endpoints are dihomotopic when they are
 connected by elementary square flips: replacing two consecutive edges
-across a 2-square by the opposite two.  Classes per endpoint pair are
-computed by a union-find quotient over the full path list and memoized
-on the complex.  Every ``cap`` parameter bounds the paths enumerated per
-pair and defaults to ``cubecore.DEFAULT_PATH_CAP``.
+across a 2-square by the opposite two.  Classes are built without
+listing paths, in one class table per source vertex ``a`` filled in
+topological order: the classes C(a, b) are the disjoint union, over the
+in-edges f of b, of C(a, src f), divided by one relation per flip that
+ends at b, ``(e2, [q.e1]) ~ (f2, [q.f1])``.  This is exact because a
+flip either lies inside the prefix or uses the last two edges.  The same
+pass stores the suffix action ``ext_f`` of every edge, so the class of
+a path is a fold of ``ext`` along its edges, and the action of a prefix
+alpha follows by naturality: ``[alpha.q.f] = ext_f([alpha.q])``.
+
+Class ids follow the lexicographically least member of each class.
+Least members are prefix-closed (flips keep the length), so each class
+keeps one (edge, class before it) link and representatives are built
+only when asked for.  A table grows only over the vertices a query
+needs and is cached on the complex.  Every ``cap`` parameter bounds the
+number of dipaths of a pair, counted by dynamic programming before any
+class work, and defaults to ``cubecore.DEFAULT_PATH_CAP``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .cubecore import DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, enumerate_dpaths
+from .cubecore import (
+    DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, descendants, enumerate_dpaths)
 from .errors import ModelError, PathCapExceeded
 
 
-@dataclass(frozen=True)
+class _Table:
+    """Classes C(a, v) of one source ``a`` of a complex x, for the
+    vertices v reachable from it, filled in topological order as far as
+    queries need.  It keeps no reference to x, which caches it, so a
+    complex and its tables are freed without the cycle collector."""
+
+    def __init__(self, x: PrecubicalSet, a: int):
+        self.a = a
+        self.reach = descendants(x, a)
+        self.paths = {a: 1}  # v -> number of dipaths a -> v
+        self.count = {a: 1}  # v -> number of classes
+        self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
+        self.link = {a: (None,)}  # v -> per class: (f, class at src f) of its least member
+        # v -> per class: its least member as bytes, each edge f written
+        # as tgt(f) * |E| + f in a fixed width, so bytes order is path order
+        self.key = {a: (b"",)}
+        self.width = (x.n_vertices * len(x.edges)).bit_length() // 8 + 1
+        self.pre = {}  # (a', class of alpha: a' -> a) -> {v: C(a, v) -> C(a', v)}
+        self.reps = {}  # v -> representatives
+
+    def _todo(self, x, done, v):
+        """Vertices between a and v missing from ``done``, in topological
+        order; ``done`` holds every vertex between a and each of its own."""
+        if v in done:
+            return ()
+        reach = self.reach
+        seen = {v}
+        stack = [v]
+        while stack:
+            for e in x.in_edges(stack.pop()):
+                u = x.edges[e][0]
+                if u in reach and u not in done and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return sorted(seen, key=x._rank.__getitem__)
+
+    def classes(self, x, v, cap):
+        """The number of classes at v, refused when more than ``cap``
+        dipaths reach v; they are counted first."""
+        todo = self._todo(x, self.count, v)
+        paths = self.paths
+        for w in todo:
+            if w not in paths:
+                paths[w] = sum(paths.get(x.edges[e][0], 0) for e in x.in_edges(w))
+        if paths[v] > cap:
+            raise PathCapExceeded((self.a, v), cap)
+        for w in todo:
+            self._glue(x, w)
+        return self.count[v]
+
+    def _glue(self, x, v):
+        """Classes at v from those of its in-neighbours, glued by flips."""
+        reach, count, ext, flips, edges = self.reach, self.count, self.ext, x._flips, x.edges
+        order = v * len(edges)
+        members = []  # (f, class at src f)
+        cand = []  # key of the member's least path
+        base = {}  # in-edge f -> index of its first member
+        for f in x.in_edges(v):
+            u = edges[f][0]
+            if u in reach:
+                base[f] = len(members)
+                tail = (order + f).to_bytes(self.width, "big")
+                for c, k in enumerate(self.key[u]):
+                    members.append((f, c))
+                    cand.append(k + tail)
+        adj = [[] for _ in members]
+        for e2, i0 in base.items():
+            for e1 in x.in_edges(edges[e2][0]):
+                pair = (e1, e2)
+                alt = flips.get(pair)
+                # a flip read both ways counts once
+                if (alt is None or edges[e1][0] not in reach
+                        or (alt < pair and flips.get(alt) == pair)):
+                    continue
+                j0 = base[alt[1]]
+                for i, j in zip(ext[e1], ext[alt[0]]):
+                    adj[i0 + i].append(j0 + j)
+                    adj[j0 + j].append(i0 + i)
+        label = [-1] * len(members)
+        least = []  # per component: its least member
+        for i, nbrs in enumerate(adj):
+            if label[i] < 0:
+                label[i] = len(least)
+                component = [i]
+                for j in component:
+                    for k in adj[j]:
+                        if label[k] < 0:
+                            label[k] = label[i]
+                            component.append(k)
+                least.append(min(component, key=cand.__getitem__) if nbrs else i)
+        ranked = sorted(least, key=cand.__getitem__) if len(least) > 1 else least
+        cid = [0] * len(least)
+        for c, i in enumerate(ranked):
+            cid[label[i]] = c
+        count[v] = len(ranked)
+        self.link[v] = tuple([members[i] for i in ranked])
+        self.key[v] = tuple([cand[i] for i in ranked])
+        for f, i in base.items():
+            ext[f] = tuple([cid[c] for c in label[i:i + count[edges[f][0]]]])
+
+    def fold(self, c, edges):
+        """Class of p.edges given the class c of a path p ending at the
+        first edge's source."""
+        ext = self.ext
+        for e in edges:
+            c = ext[e][c]
+        return c
+
+    def representatives(self, x, v):
+        """The least member of each class at v, rebuilt from the links."""
+        reps = self.reps.get(v)
+        if reps is None:
+            reps = self.reps[v] = tuple(
+                self._least(x, v, c) for c in range(self.count[v]))
+        return reps
+
+    def _least(self, x, v, c):
+        edges = []
+        while v != self.a:
+            f, c = self.link[v][c]
+            edges.append(f)
+            v = x.edges[f][0]
+        return DPath(self.a, tuple(reversed(edges)))
+
+    def prefix(self, x, outer, k, v):
+        """The map [q] -> [alpha.q] from C(a, v) to C(outer.a, v), for a
+        prefix alpha: outer.a -> a of class k.  Both tables must be built
+        up to v."""
+        rows = self.pre.setdefault((outer.a, k), {self.a: (k,)})
+        for w in self._todo(x, rows, v):
+            row = [0] * self.count[w]
+            for f in x.in_edges(w):
+                up = rows.get(x.edges[f][0])
+                if up is not None:
+                    own, theirs = self.ext[f], outer.ext[f]
+                    for c, image in enumerate(up):
+                        row[own[c]] = theirs[image]
+            rows[w] = tuple(row)
+        return rows[v]
+
+
+@dataclass
 class ClassSet:
     """Dihomotopy classes of dipaths for one endpoint pair.
 
@@ -24,12 +180,21 @@ class ClassSet:
     """
 
     pair: tuple[int, int]
-    representatives: tuple[DPath, ...]
-    membership: dict  # path edge tuple -> class id
+    count: int
+    _x: PrecubicalSet = field(repr=False, compare=False)
 
     @property
-    def count(self):
-        return len(self.representatives)
+    def representatives(self) -> tuple[DPath, ...]:
+        a, b = self.pair
+        return _table(self._x, a).representatives(self._x, b)
+
+    @cached_property
+    def membership(self) -> dict:
+        """Every dipath of the pair (edge tuple) -> class id; enumerates."""
+        (a, b), x = self.pair, self._x
+        t = _table(x, a)
+        paths = enumerate_dpaths(x, a, b, cap=t.paths[b])
+        return {p.edges: t.fold(0, p.edges) for p in paths}
 
 
 @dataclass(frozen=True)
@@ -43,82 +208,71 @@ class ExtensionArrow:
     beta: DPath
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _table(x: PrecubicalSet, a: int) -> _Table:
+    t = x._class_cache.get(a)
+    if t is None:
+        t = x._class_cache[a] = _Table(x, a)
+    return t
 
 
 def trace_classes(x: PrecubicalSet, a: int, b: int, cap=None) -> ClassSet:
     """Quotient of all dipaths a -> b by elementary square flips."""
     if cap is None:
         cap = DEFAULT_PATH_CAP
-    key = (a, b)
-    cached = x._class_cache.get(key)
-    if cached is not None:
-        # a set cached under a larger cap must not bypass this one
-        if len(cached.membership) > cap:
-            raise PathCapExceeded(key, cap)
-        return cached
-    paths = enumerate_dpaths(x, a, b, cap=cap)
-    index = {p.edges: i for i, p in enumerate(paths)}
-    uf = _UnionFind(len(paths))
-    for i, p in enumerate(paths):
-        e = p.edges
-        for k in range(len(e) - 1):
-            alt = x.flip(e[k], e[k + 1])
-            if alt is not None:
-                uf.union(i, index[e[:k] + alt + e[k + 2 :]])
-    # lex enumeration order makes min-index roots the lex-least members
-    roots = sorted({uf.find(i) for i in range(len(paths))})
-    class_id = {root: c for c, root in enumerate(roots)}
-    membership = {p.edges: class_id[uf.find(i)] for i, p in enumerate(paths)}
-    result = ClassSet(key, tuple(paths[r] for r in roots), membership)
-    x._class_cache[key] = result
-    return result
+    t = x._class_cache.get(a)
+    n = t.count.get(b) if t is not None else None
+    if n is None:
+        x.check_vertex(a)
+        x.check_vertex(b)
+        t = _table(x, a)
+        if b not in t.reach:
+            raise ModelError(f"vertex {b} is not reachable from {a}")
+        n = t.classes(x, b, cap)
+    elif t.paths[b] > cap:
+        raise PathCapExceeded((a, b), cap)
+    return ClassSet((a, b), n, x)
 
 
 def class_of(x: PrecubicalSet, p: DPath, cap=None) -> int:
     """Class id of a path within trace_classes(start, end)."""
     end = x.check_path(p)
-    cs = trace_classes(x, p.start, end, cap=cap)
-    try:
-        return cs.membership[p.edges]
-    except KeyError:
-        raise ModelError(f"path {p} not produced by enumeration") from None
+    trace_classes(x, p.start, end, cap=cap)
+    return _table(x, p.start).fold(0, p.edges)
+
+
+def _source_classes(x: PrecubicalSet, arrow: ExtensionArrow, cap) -> ClassSet:
+    """Check an arrow's paths; return the classes of its source pair."""
+    if x.check_path(arrow.alpha) != arrow.source[0] or arrow.alpha.start != arrow.target[0]:
+        raise ModelError("arrow prefix does not run target-start -> source-start")
+    if arrow.beta.start != arrow.source[1] or x.check_path(arrow.beta) != arrow.target[1]:
+        raise ModelError("arrow suffix does not run source-end -> target-end")
+    return trace_classes(x, *arrow.source, cap=cap)
+
+
+def _action(x: PrecubicalSet, arrow: ExtensionArrow, cap) -> tuple:
+    """[q] -> [alpha.q.beta] over the classes of a checked arrow's source."""
+    sy = arrow.source[1]
+    trace_classes(x, *arrow.target, cap=cap)
+    outer = _table(x, arrow.target[0])
+    inner = _table(x, arrow.source[0])
+    if arrow.alpha.edges:
+        act = inner.prefix(x, outer, outer.fold(0, arrow.alpha.edges), sy)
+    else:
+        act = range(inner.count[sy])
+    return tuple(outer.fold(c, arrow.beta.edges) for c in act)
 
 
 def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int, cap=None) -> int:
     """Class of alpha * rep(c) * beta at the target pair."""
-    sx, sy = arrow.source
-    tx, ty = arrow.target
-    if x.path_end(arrow.alpha) != sx or arrow.alpha.start != tx:
-        raise ModelError("arrow prefix does not run target-start -> source-start")
-    if arrow.beta.start != sy or x.path_end(arrow.beta) != ty:
-        raise ModelError("arrow suffix does not run source-end -> target-end")
-    cs = trace_classes(x, sx, sy, cap=cap)
-    if not (0 <= c < cs.count):
+    if not (0 <= c < _source_classes(x, arrow, cap).count):
         raise ModelError(f"class {c} not valid at pair {arrow.source}")
-    extended = concat(x, concat(x, arrow.alpha, cs.representatives[c]), arrow.beta)
-    return class_of(x, extended, cap=cap)
+    return _action(x, arrow, cap)[c]
 
 
 def arrow_action(x: PrecubicalSet, arrow: ExtensionArrow, cap=None) -> tuple:
     """The action of an arrow, tabulated over the classes of its source."""
-    n = trace_classes(x, *arrow.source, cap=cap).count
-    return tuple(extend_class(x, arrow, c, cap=cap) for c in range(n))
+    _source_classes(x, arrow, cap)
+    return _action(x, arrow, cap)
 
 
 def identity_arrow(pair) -> ExtensionArrow:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from ditop import fixtures as fx
+from ditop.cubecore import PrecubicalSet, build_grid_complex
 
 ALL_FIXTURES = ("seg", "wedge", "pv1", "sf", "hs", "matchbox", "topface")
 
@@ -43,3 +45,39 @@ def matchbox():
 @pytest.fixture
 def topface():
     return fx.topface()
+
+
+@st.composite
+def grid_models(draw):
+    """A 1-3D grid (at most 3x3 or 2x2x2 cells) minus up to two boxes."""
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3 if n < 3 else 2)) for _ in range(n))
+    boxes = []
+    for _ in range(draw(st.integers(0, 2))):
+        box = []
+        for d in dims:
+            lo = draw(st.integers(0, d - 1))
+            box.append((lo, draw(st.integers(lo + 1, d))))
+        boxes.append(box)
+    return build_grid_complex(dims, boxes)
+
+
+@st.composite
+def dag_models(draw):
+    """Random squares glued onto a random DAG of up to 7 vertices, with
+    parallel edges and vertex ids in no topological order."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [(perm[i], perm[j])
+             for i, j in (draw(st.lists(st.sampled_from(forward), max_size=12))
+                          if forward else [])]
+    quads = [
+        (b, r, l, t)
+        for b, (s, m) in enumerate(edges)
+        for l, (s2, m2) in enumerate(edges) if l != b and s2 == s
+        for r, (m3, e) in enumerate(edges) if m3 == m
+        for t, (m4, e2) in enumerate(edges) if t != r and m4 == m2 and e2 == e
+    ]
+    squares = draw(st.lists(st.sampled_from(quads), max_size=6, unique=True)) if quads else []
+    return PrecubicalSet(n, edges, squares)

@@ -99,27 +99,49 @@ def all_paths_bfs(x, a, b, limit=None):
 
 
 def flip_class_count(x, a, b, limit=None):
-    """Number of square-flip components among paths a -> b, by BFS over
-    the flip graph (no union-find)."""
-    paths = all_paths_bfs(x, a, b, limit=limit)
-    index = {p: i for i, p in enumerate(paths)}
-    seen = set()
-    components = 0
-    for start in paths:
-        if index[start] in seen:
-            continue
-        components += 1
-        queue = [start]
-        seen.add(index[start])
-        while queue:
-            p = queue.pop()
-            for i in range(len(p) - 1):
-                alt = x.flip(p[i], p[i + 1])
+    """Number of square-flip components among paths a -> b."""
+    return len(_flip_components(x, a, b, limit))
+
+
+def flip_classes(x, a, b, limit=None):
+    """Square-flip components among paths a -> b.  Each component is a
+    list of edge tuples, least first in the lexicographic order of
+    (vertex, edge) sequences, and the components are ordered by their
+    least members."""
+
+    def key(p):
+        return tuple((x.edges[e][1], e) for e in p)
+
+    components = [sorted(c, key=key) for c in _flip_components(x, a, b, limit)]
+    return sorted(components, key=lambda c: key(c[0]))
+
+
+def _flip_components(x, a, b, limit):
+    """Components of the flip graph by BFS (no union-find).  x.flip keeps
+    one flip per edge pair, so each flip is also read backwards."""
+    alts = {}
+    for v in range(x.n_vertices):
+        for e1 in x.in_edges(v):
+            for e2 in x.out_edges(v):
+                alt = x.flip(e1, e2)
                 if alt is not None:
+                    alts.setdefault((e1, e2), set()).add(alt)
+                    alts.setdefault(alt, set()).add((e1, e2))
+    seen = set()
+    components = []
+    for start in all_paths_bfs(x, a, b, limit=limit):
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for p in component:
+            for i in range(len(p) - 1):
+                for alt in alts.get(p[i:i + 2], ()):
                     q = p[:i] + alt + p[i + 2:]
-                    if index[q] not in seen:
-                        seen.add(index[q])
-                        queue.append(q)
+                    if q not in seen:
+                        seen.add(q)
+                        component.append(q)
+        components.append(component)
     return components
 
 

@@ -15,7 +15,8 @@ from ditop.cubecore import (
 )
 from ditop.errors import ModelError, PathCapExceeded
 
-from oracles import brute_grid_cells, closure_pairs, path_count_dp
+from conftest import dag_models, grid_models
+from oracles import all_paths_bfs, brute_grid_cells, closure_pairs, path_count_dp
 
 
 def test_edge_endpoint_validation():
@@ -115,6 +116,37 @@ def test_path_cap():
     assert exc.value.pair == (0, x.n_vertices - 1)
 
 
+def test_enumeration_of_a_long_chain():
+    # 3000 edges: deeper than Python's default recursion limit
+    x = PrecubicalSet(3001, [(i, i + 1) for i in range(3000)])
+    (p,) = enumerate_dpaths(x, 0, 3000)
+    assert p.edges == tuple(range(3000))
+    with pytest.raises(PathCapExceeded):
+        enumerate_dpaths(x, 0, 3000, cap=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_models(), dag_models()), st.integers(0, 12))
+def test_enumeration_order_and_cap_match_the_bfs_oracle(x, k):
+    for a, b in gamma(x):
+        want = sorted(all_paths_bfs(x, a, b),
+                      key=lambda p: [(x.edges[e][1], e) for e in p])
+        if len(want) > k:
+            with pytest.raises(PathCapExceeded):
+                enumerate_dpaths(x, a, b, cap=k)
+        else:
+            assert [p.edges for p in enumerate_dpaths(x, a, b, cap=k)] == want
+
+
+def test_gamma_membership(sf):
+    pairs = closure_pairs(sf)
+    g = gamma(sf)
+    for a in range(sf.n_vertices):
+        for b in range(sf.n_vertices):
+            assert ((a, b) in g) == ((a, b) in pairs)
+    assert "not a pair" not in g
+
+
 def test_concat_checks_endpoints(seg):
     p = DPath(0, (0,))
     with pytest.raises(ModelError, match="mismatch"):
@@ -134,6 +166,15 @@ def test_grid_vertex_lookup(pv1):
     assert grid_vertex(pv1, (3, 3)) == pv1.n_vertices - 1
     with pytest.raises(ModelError):
         grid_vertex(pv1, (9, 9))
+
+
+def test_grid_vertex_of_every_point(pv1):
+    with pytest.raises(ModelError):
+        grid_vertex(pv1, (0, 0, 0))
+    x = build_grid_complex((2, 3, 1), [((0, 1), (1, 2), (0, 1))])
+    assert [grid_vertex(x, list(p)) for p in x.coords] == list(range(x.n_vertices))
+    with pytest.raises(ModelError, match="not a grid"):
+        grid_vertex(PrecubicalSet(1, []), (0,))
 
 
 def test_flip_table_symmetric(any_fixture):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ditop import equivcheck
 from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex
 from ditop.equivcheck import (
     DMapData,
@@ -21,6 +22,7 @@ from ditop.equivcheck import (
 from ditop.errors import ModelError
 from ditop.fixtures import get_fixture, matchbox_maps, sf_hs_maps
 from ditop.natsys import bisimilar, build_natural_system
+from ditop.traceclass import class_of
 
 from oracles import relabel_complex
 
@@ -256,3 +258,31 @@ def test_diagram_failures_pinned(x_dims, f_vm, g_vm, depth, stage):
         "no matching target arrow commutes" if stage == "diagram-A"
         else "no source-side preimage arrow commutes",
         exhausted=True)
+
+
+def test_strong_lift_failure_pinned():
+    # stages 1-3 and strong conditions (a)/(b) pass, and (d) fails: the
+    # arrow of x from g(1, 1) = (0, 0) into (0, 1) needs a preimage of
+    # (0, 1) under g that extends (1, 1), and (0, 2) does not
+    x = build_grid_complex((1,))
+    y = get_fixture("wedge")
+    f = dmap_from_vertex_map(x, y, [0, 0])
+    g = dmap_from_vertex_map(y, x, [0, 0, 1])
+    failure, (f_side, g_side) = equivcheck._stages_1_to_3(x, y, f, g, None)
+    assert failure is None
+    assert equivcheck._strong_push(f_side, None)
+    assert equivcheck._strong_push(g_side, None)
+    assert equivcheck._strong_lift(f_side, None)
+    assert not equivcheck._strong_lift(g_side, None)
+    assert not check_strong(x, y, f, g)
+    assert not check_strong(y, x, g, f)
+
+
+def test_strong_lift_reads_the_suffix_class():
+    # in a triangle the edge 0->2 is class 1 of its pair, behind the
+    # path 0->1->2; lifting it as the class of the (empty) prefix would
+    # break condition (c) for the identity
+    t = PrecubicalSet(3, [(0, 1), (1, 2), (0, 2)])
+    assert class_of(t, DPath(0, (2,))) == 1
+    i = identity_dmap(t)
+    assert check_strong(t, t, i, i)

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ditop.cubecore import DPath, build_grid_complex, gamma, grid_vertex
+from ditop import cubecore, traceclass
+from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex, gamma, grid_vertex
 from ditop.errors import ModelError, PathCapExceeded
 from ditop.traceclass import (
+    arrow_action,
     class_of,
     compose_arrows,
     elementary_arrows,
@@ -11,7 +14,10 @@ from ditop.traceclass import (
     trace_classes,
 )
 
-from oracles import flip_class_count
+from conftest import dag_models, grid_models
+from oracles import flip_class_count, flip_classes, path_count_dp
+
+MODELS = st.one_of(grid_models(), dag_models())
 
 
 def test_pv1_two_classes_min_to_max(pv1):
@@ -113,3 +119,72 @@ def test_cached_classes_respect_a_smaller_cap():
         trace_classes(x, 0, top, cap=10)
     assert exc.value.pair == (0, top)
     assert trace_classes(x, 0, top, cap=70).count == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(MODELS)
+def test_classes_match_the_flip_oracle(x):
+    # counts, representatives and so class ids, and class_of on every path
+    for a, b in gamma(x):
+        want = flip_classes(x, a, b)
+        cs = trace_classes(x, a, b)
+        assert cs.count == len(want)
+        assert [rep.edges for rep in cs.representatives] == [c[0] for c in want]
+        for cid, component in enumerate(want):
+            for edges in component:
+                assert class_of(x, DPath(a, edges)) == cid
+        assert cs.membership == {p: cid for cid, c in enumerate(want) for p in c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(MODELS)
+def test_actions_match_the_flip_oracle_and_compose(x):
+    def oracle_class(pair, edges):
+        return next(i for i, c in enumerate(flip_classes(x, *pair)) if edges in c)
+
+    for pair in gamma(x):
+        reps = trace_classes(x, *pair).representatives
+        for a1 in elementary_arrows(x, pair):
+            assert arrow_action(x, a1) == tuple(
+                oracle_class(a1.target, a1.alpha.edges + rep.edges + a1.beta.edges)
+                for rep in reps)
+            for a2 in elementary_arrows(x, a1.target):
+                comp = compose_arrows(x, a1, a2)
+                assert arrow_action(x, comp) == tuple(
+                    extend_class(x, a2, extend_class(x, a1, c)) for c in range(len(reps)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MODELS, st.integers(0, 30))
+def test_cap_refuses_exactly_above_the_path_count(x, k):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerate_dpaths called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubecore, "enumerate_dpaths", no_enumeration)
+        mp.setattr(traceclass, "enumerate_dpaths", no_enumeration)
+        for a, b in gamma(x):
+            if path_count_dp(x, a, b) > k:
+                with pytest.raises(PathCapExceeded) as exc:
+                    trace_classes(x, a, b, cap=k)
+                assert (exc.value.pair, exc.value.cap) == ((a, b), k)
+            else:
+                assert trace_classes(x, a, b, cap=k).count >= 1
+
+
+def test_classes_of_a_long_chain():
+    x = PrecubicalSet(3001, [(i, i + 1) for i in range(3000)])
+    cs = trace_classes(x, 0, 3000)
+    assert cs.count == 1
+    assert cs.representatives[0].edges == tuple(range(3000))
+    assert class_of(x, DPath(1000, tuple(range(1000, 3000)))) == 0
+
+
+def test_one_pair_builds_only_the_vertices_between_it():
+    x = build_grid_complex((6, 6))
+    a, b = grid_vertex(x, (1, 1)), grid_vertex(x, (2, 3))
+    assert trace_classes(x, a, b).count == 1
+    assert sorted(x._class_cache) == [a]
+    between = {v for v in range(x.n_vertices)
+               if all(p <= c <= q for p, c, q in zip((1, 1), x.coords[v], (2, 3)))}
+    assert set(x._class_cache[a].count) == between
