@@ -59,11 +59,12 @@ class PrecubicalSet:
             adj.sort(key=lambda i: (self.edges[i][1], i))
         for adj in self._in:
             adj.sort(key=lambda i: (self.edges[i][0], i))
-        # elementary square flips: (e1,e2) -> (e1',e2') across some square
+        # elementary square flips: (e1,e2) -> every (e1',e2') across a
+        # square, in square order; an edge pair may bound several squares
         self._flips = {}
         for bottom, right, left, top in self.squares:
-            self._flips[(bottom, right)] = (left, top)
-            self._flips[(left, top)] = (bottom, right)
+            self._flips.setdefault((bottom, right), []).append((left, top))
+            self._flips.setdefault((left, top), []).append((bottom, right))
         self._class_cache = {}
         self._gamma = None
 
@@ -110,8 +111,10 @@ class PrecubicalSet:
         return self._in[v]
 
     def flip(self, e1, e2):
-        """The opposite edge pair across a square, or None."""
-        return self._flips.get((e1, e2))
+        """The opposite edge pair across a square, or None; across the
+        last square listed when the pair bounds several."""
+        alts = self._flips.get((e1, e2))
+        return alts[-1] if alts else None
 
     @cached_property
     def _vertex_at(self):

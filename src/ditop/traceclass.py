@@ -99,15 +99,16 @@ class _Table:
         for e2, i0 in base.items():
             for e1 in x.in_edges(edges[e2][0]):
                 pair = (e1, e2)
-                alt = flips.get(pair)
-                # a flip read both ways counts once
-                if (alt is None or edges[e1][0] not in reach
-                        or (alt < pair and flips.get(alt) == pair)):
+                if edges[e1][0] not in reach:
                     continue
-                j0 = base[alt[1]]
-                for i, j in zip(ext[e1], ext[alt[0]]):
-                    adj[i0 + i].append(j0 + j)
-                    adj[j0 + j].append(i0 + i)
+                for alt in flips.get(pair, ()):
+                    # each square is read from both of its edge pairs; glue once
+                    if alt <= pair:
+                        continue
+                    j0 = base[alt[1]]
+                    for i, j in zip(ext[e1], ext[alt[0]]):
+                        adj[i0 + i].append(j0 + j)
+                        adj[j0 + j].append(i0 + i)
         label = [-1] * len(members)
         least = []  # per component: its least member
         for i, nbrs in enumerate(adj):

@@ -3,10 +3,12 @@
 Everything here is deliberately written with different algorithms and
 data layouts than the library: midpoint sampling instead of interval
 arithmetic, breadth-first closure instead of union-find, boolean matrix
-closure instead of DFS, cofactor determinants instead of reduction.
+closure instead of DFS, cofactor determinants instead of reduction,
+Jacobi sweeps over every same-count pair instead of a colour-seeded
+worklist.
 """
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def brute_grid_cells(dims, boxes):
@@ -117,16 +119,12 @@ def flip_classes(x, a, b, limit=None):
 
 
 def _flip_components(x, a, b, limit):
-    """Components of the flip graph by BFS (no union-find).  x.flip keeps
-    one flip per edge pair, so each flip is also read backwards."""
+    """Components of the flip graph by BFS (no union-find), with the flip
+    relation read from the squares themselves."""
     alts = {}
-    for v in range(x.n_vertices):
-        for e1 in x.in_edges(v):
-            for e2 in x.out_edges(v):
-                alt = x.flip(e1, e2)
-                if alt is not None:
-                    alts.setdefault((e1, e2), set()).add(alt)
-                    alts.setdefault(alt, set()).add((e1, e2))
+    for bottom, right, left, top in x.squares:
+        alts.setdefault((bottom, right), set()).add((left, top))
+        alts.setdefault((left, top), set()).add((bottom, right))
     seen = set()
     components = []
     for start in all_paths_bfs(x, a, b, limit=limit):
@@ -169,6 +167,58 @@ def path_count_dp(x, a, b):
             for e in x.out_edges(v):
                 count[x.edges[e][1]] += count[v]
     return count[b]
+
+
+def bisim_gfp(s, t):
+    """Bisimilarity of two natural class systems from the definition,
+    without colours or worklists: (True, triples) or (False, (side, object)).
+
+    The relation starts from every pair of objects with equal class counts
+    and every bijection between their classes.  A full Jacobi sweep keeps
+    a triple (oi, bij, oj) when every arrow of either object is matched by
+    an arrow of the other object, or by the other object staying put with
+    the identity, into a pair of the previous sweep's relation that holds
+    some bij2 with bij2 . act == act2 . bij; sweeps repeat until nothing
+    changes.  An object of either side left without a partner is a
+    counterexample: on the left first, the one with the fewest arrows,
+    then the least object.  Triples list the pairs in index order, each
+    with its least remaining bijection.
+    """
+
+    def moves(system, o):
+        return list(system.arrows[o]) + [(o, tuple(range(system.counts[o])))]
+
+    def commutes(rel, ti, tj, act, act2, bij):
+        return any(all(bij2[act[c]] == act2[bij[c]] for c in range(len(bij)))
+                   for bij2 in rel.get((ti, tj), ()))
+
+    rel = {
+        (oi, oj): set(permutations(range(s.counts[oi])))
+        for oi in range(s.n_objects) for oj in range(t.n_objects)
+        if s.counts[oi] == t.counts[oj]
+    }
+    while True:
+        nxt = {}
+        for (oi, oj), bijs in rel.items():
+            keep = {
+                bij for bij in bijs
+                if all(any(commutes(rel, ti, tj, act, act2, bij) for tj, act2 in moves(t, oj))
+                       for ti, act in s.arrows[oi])
+                and all(any(commutes(rel, ti, tj, act, act2, bij) for ti, act in moves(s, oi))
+                        for tj, act2 in t.arrows[oj])
+            }
+            if keep:
+                nxt[(oi, oj)] = keep
+        if nxt == rel:
+            break
+        rel = nxt
+    for side, system, k in (("left", s, 0), ("right", t, 1)):
+        missing = set(range(system.n_objects)) - {pair[k] for pair in rel}
+        if missing:
+            o = min(missing, key=lambda o: (len(system.arrows[o]), system.objects[o]))
+            return False, (side, system.objects[o])
+    return True, tuple((s.objects[oi], min(rel[(oi, oj)]), t.objects[oj])
+                       for oi, oj in sorted(rel))
 
 
 def det(m):

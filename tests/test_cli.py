@@ -9,8 +9,11 @@ import pytest
 import ditop
 
 from ditop.cli import run
-from ditop.cubecore import PrecubicalSet
+from ditop.cubecore import PrecubicalSet, build_grid_complex, grid_vertex
 from ditop.fixtures import PV_SOURCES
+from ditop.natsys import build_natural_system
+
+from oracles import bisim_gfp
 
 
 @pytest.fixture
@@ -265,3 +268,29 @@ def test_undecodable_file_exit_1(argv, tmp_path, capsys):
     p.write_bytes(b"\xff\xfe")
     assert run([a.format(p) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bisim_relation_size(tmp_path, capsys):
+    # one-hole 4x4 grid against itself
+    x = build_grid_complex((4, 4), [((1, 3), (1, 3))])
+    path = tmp_path / "h4.json"
+    path.write_text(x.to_json())
+    assert run(["bisim", "--complex", str(path), "--complex", str(path), "--json-only"]) == 0
+    s = build_natural_system(x)
+    ok, triples = bisim_gfp(s, s)
+    assert ok and len(triples) == 7200
+    assert _last_json(capsys)["result"] == {"bisimilar": True, "relation_size": len(triples)}
+
+
+def test_bisim_counterexample_object(tmp_path, capsys, sf, hs):
+    # the left object from the start to the deadlock state (2, 2) of sf
+    # has no partner in hs (oracles.bisim_gfp agrees, in about 12 s)
+    paths = []
+    for name, x in (("sf", sf), ("hs", hs)):
+        paths += ["--complex", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(x.to_json())
+    assert run(["bisim", *paths, "--json-only"]) == 0
+    assert _last_json(capsys)["result"] == {
+        "bisimilar": False,
+        "counterexample": {"side": "left", "object": [0, grid_vertex(sf, (2, 2))]},
+    }

@@ -46,6 +46,16 @@ def test_counts_match_flip_closure_oracle(pv1):
         assert trace_classes(pv1, a, b).count == flip_class_count(pv1, a, b)
 
 
+def test_squares_sharing_edge_pairs_all_glue():
+    # four paths 0 -> 3 through 1, 2, 4 and 5; the first square shares its
+    # edge pair (0, 1) with the second and (2, 3) with the third, and all
+    # three squares together join the four paths into one class
+    x = PrecubicalSet(6, [(0, 1), (1, 3), (0, 2), (2, 3), (0, 4), (4, 3), (0, 5), (5, 3)],
+                      [(0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 6, 7)])
+    assert trace_classes(x, 0, 3).count == 1
+    assert flip_class_count(x, 0, 3) == 1
+
+
 def test_representatives_are_lex_least(pv1):
     # least in the enumeration order: lexicographic on vertex sequences
     def vkey(edges):
