@@ -24,7 +24,7 @@ from .fixtures import write_fixture
 from .natsys import bisimilar, build_natural_system
 from .pvlang import compile_pv, parse_pv, pretty_print
 from .traceclass import trace_classes
-from .zhom import homology_ranks, is_contractible_surrogate, section_exists
+from .zhom import homology_ranks, section_exists, trivial_homology
 
 SCHEMA_VERSION = 1
 
@@ -173,7 +173,7 @@ def _cmd_equiv(args):
 def _cmd_dicontractible(args):
     x = _load_model(*args.models[0])
     betti0, betti1, torsion = homology_ranks(x)
-    contractible = is_contractible_surrogate(x)
+    contractible = trivial_homology(betti0, betti1, torsion)
     section_ok, witness = section_exists(x)
     verdict = contractible and section_ok
     result = {

@@ -5,7 +5,7 @@ data layouts than the library: midpoint sampling instead of interval
 arithmetic, breadth-first closure instead of union-find, boolean matrix
 closure instead of DFS, cofactor determinants instead of reduction,
 Jacobi sweeps over every same-count pair instead of a colour-seeded
-worklist.
+worklist, dense Smith normal form instead of sparse unit pivots.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -255,6 +255,26 @@ def mat_mul(a, b):
         [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
         for ra in a
     ]
+
+
+def homology_dense(x):
+    """(betti_0, betti_1, torsion of H1) from dense boundary matrices
+    built here from the cells, ranked by the library's Smith normal form
+    (whose invariants the algebra criterion checks)."""
+    from ditop.zhom import smith_normal_form
+
+    d1 = [[0] * len(x.edges) for _ in range(x.n_vertices)]
+    for j, (s, t) in enumerate(x.edges):
+        d1[s][j] -= 1
+        d1[t][j] += 1
+    d2 = [[0] * len(x.squares) for _ in x.edges]
+    for j, square in enumerate(x.squares):
+        for e, sign in zip(square, (1, 1, -1, -1)):
+            d2[e][j] += sign
+    rank1 = len(smith_normal_form(d1).diagonal()) if x.edges else 0
+    diag2 = smith_normal_form(d2).diagonal() if x.squares else []
+    return (x.n_vertices - rank1, len(x.edges) - rank1 - len(diag2),
+            sorted(d for d in diag2 if d > 1))
 
 
 def relabel_complex(x, perm):

@@ -102,6 +102,24 @@ def test_dicontractible(pv1_file, capsys):
     assert rep["result"]["obstruction_pair"] == [0, 10]
 
 
+def test_dicontractible_computes_homology_once(pv1_file, capsys, monkeypatch):
+    from ditop import cli, zhom
+
+    ranks = zhom.homology_ranks
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ranks(x)
+
+    monkeypatch.setattr(cli, "homology_ranks", counted)
+    monkeypatch.setattr(zhom, "homology_ranks", counted)
+    assert run(["dicontractible", "--pv", pv1_file]) == 0
+    assert len(calls) == 1
+    assert _last_json(capsys)["result"]["homology"] == {
+        "betti0": 1, "betti1": 1, "torsion": []}
+
+
 def test_ditc_exact(pv1_file, capsys):
     assert run(["ditc", "--pv", pv1_file]) == 0
     assert _last_json(capsys)["result"]["n"] == 2

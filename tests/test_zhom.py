@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ditop import zhom
+from ditop.cubecore import PrecubicalSet, build_grid_complex
 from ditop.fixtures import get_fixture
 from ditop.zhom import (
     boundary_matrices,
@@ -14,8 +16,8 @@ from ditop.zhom import (
     smith_normal_form,
 )
 
-from conftest import ALL_FIXTURES
-from oracles import det, mat_mul
+from conftest import ALL_FIXTURES, dag_models, grid_models
+from oracles import det, homology_dense, mat_mul
 
 
 @st.composite
@@ -70,6 +72,94 @@ HOMOLOGY = {
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_homology_table(name):
     assert homology_ranks(get_fixture(name)) == HOMOLOGY[name]
+
+
+def _two_path_squares(edges):
+    """Every square that glues two distinct 2-edge paths with the same
+    ends."""
+    paths = [(a, b) for a, (_, m) in enumerate(edges)
+             for b, (m2, _) in enumerate(edges) if m2 == m]
+    return [(b, r, l, t) for b, r in paths for l, t in paths
+            if (b, r) != (l, t) and edges[b][0] == edges[l][0]
+            and edges[r][1] == edges[t][1]]
+
+
+def _twisted(edges, square):
+    """The square with right and top swapped, when both paths go through
+    one middle vertex: the two differ by 2*(right - top), which can
+    make 2-torsion."""
+    bottom, right, left, top = square
+    if edges[right][0] == edges[top][0]:
+        return [(bottom, top, left, right)]
+    return []
+
+
+@st.composite
+def parallel_edge_models(draw):
+    """A chain of up to 4 vertices with parallel edges between
+    neighbours, and squares glued onto its 2-edge paths."""
+    n = draw(st.integers(2, 4))
+    edges = draw(st.lists(st.sampled_from([(i, i + 1) for i in range(n - 1)]),
+                          max_size=8))
+    quads = _two_path_squares(edges)
+    squares = draw(st.lists(st.sampled_from(quads), max_size=6)) if quads else []
+    for sq in squares[:draw(st.integers(0, len(squares)))]:
+        squares += _twisted(edges, sq)
+    return PrecubicalSet(n, edges, squares)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grid_models(), dag_models(), parallel_edge_models()))
+def test_homology_matches_dense_oracle(x):
+    assert homology_ranks(x) == homology_dense(x)
+
+
+def test_homology_matches_dense_oracle_with_torsion():
+    # a seeded sweep that is sure to meet torsion, which hypothesis
+    # draws only now and then
+    rng = random.Random(5)
+    torsion = 0
+    for _ in range(1000):
+        n = rng.randint(2, 5)
+        forward = [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n]
+        edges = rng.choices(forward, k=rng.randint(0, 12))
+        quads = _two_path_squares(edges)
+        squares = rng.sample(quads, min(len(quads), rng.randint(0, 6)))
+        for sq in squares[:rng.randint(0, len(squares))]:
+            squares += _twisted(edges, sq)
+        x = PrecubicalSet(n, edges, squares)
+        ranks = homology_ranks(x)
+        assert ranks == homology_dense(x), (x.edges, x.squares)
+        torsion += bool(ranks[2])
+    assert torsion >= 20
+
+
+def test_torsion_reaches_the_residual_snf(monkeypatch):
+    # H1 = Z + Z/2: after one unit pivot the second column is
+    # 2*e0 - 2*e2, which has no unit entry left
+    x = PrecubicalSet(3, [(1, 2), (0, 1), (1, 2), (0, 1), (0, 1)],
+                      [(3, 2, 1, 0), (3, 0, 1, 2)])
+    assert homology_dense(x) == (1, 1, [2])
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(zhom, "smith_normal_form", counted)
+    assert homology_ranks(x) == (1, 1, [2])
+    assert len(calls) == 1
+    assert sorted(v for row in calls[0] for v in row) == [-2, 2]
+
+
+@pytest.mark.parametrize("n", [5, 10, 20, 30])
+def test_grid_homology_needs_no_dense_step(n, monkeypatch):
+    def no_snf(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(zhom, "smith_normal_form", no_snf)
+    hole = (n // 2 - 1, n // 2 + 1)
+    assert homology_ranks(build_grid_complex((n, n), [[hole, hole]])) == (1, 1, [])
 
 
 DICONTRACTIBLE = {
