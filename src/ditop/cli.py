@@ -10,6 +10,7 @@ or cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,15 +31,12 @@ SCHEMA_VERSION = 1
 
 
 class _ModelArg(argparse.Action):
-    """Collect --pv/--complex occurrences in order."""
+    """Collect --pv/--complex occurrences in order, into a new list per
+    parse: the parser is built once and its defaults are shared."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        models = getattr(namespace, "models", None)
-        if models is None:
-            models = []
-            namespace.models = models
         kind = "pv" if option_string == "--pv" else "complex"
-        models.append((kind, value))
+        namespace.models = [*getattr(namespace, "models", ()), (kind, value)]
 
 
 def _add_model_flags(sub, count=1):
@@ -46,7 +44,7 @@ def _add_model_flags(sub, count=1):
                      help="PV program source")
     sub.add_argument("--complex", action=_ModelArg, metavar="FILE",
                      help="precubical complex JSON")
-    sub.set_defaults(models=[], n_models=count)
+    sub.set_defaults(models=(), n_models=count)
 
 
 def _load_model(kind, path):
@@ -251,7 +249,7 @@ def build_parser():
     sp.add_argument("--g", required=True, help="dmap y -> x (JSON)")
     sp.add_argument("--strong", action="store_true")
     sp.add_argument("--depth", type=int, default=DEFAULT_SEARCH_DEPTH)
-    sp.set_defaults(body=_cmd_equiv, models=[], n_models=0)
+    sp.set_defaults(body=_cmd_equiv, models=(), n_models=0)
 
     sp = subs.add_parser("dicontractible", help="decide dicontractibility")
     _add_model_flags(sp)
@@ -266,15 +264,19 @@ def build_parser():
     sp = subs.add_parser("fixtures", help="write a built-in example to disk")
     sp.add_argument("name")
     sp.add_argument("--dir", default=".")
-    sp.set_defaults(body=_cmd_fixtures, models=[], n_models=0)
+    sp.set_defaults(body=_cmd_fixtures, models=(), n_models=0)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     if getattr(args, "n_models", 0) and len(args.models) != args.n_models:

@@ -4,6 +4,25 @@ diTC is the minimal number of parts in a partition of the reachable
 pairs such that each part admits a choice of one dihomotopy class per
 pair, compatible with every elementary extension arrow internal to the
 part.  A single part exists exactly when every pair has a unique class.
+
+Only the multi-class core of a part is ever searched.  A pair with one
+class always takes class 0, and an arrow into it always holds.  Within
+a part, each arrow from a one-class pair into a multi-class pair just
+fixes the class of its target, so whether a part is feasible is a
+question about its multi-class pairs alone, under those fixes.  A part
+under construction keeps a witness choice on its core.  A new pair that
+the witness already admits joins at once; the core is solved again,
+with an undo trail, only when the witness does not extend.  The solver
+decides pairs most classes first, then by pair, trying the lowest class
+first, so the choice it returns is the least compatible one in that
+order, whichever way the part was found.
+
+The greedy bound is exact when it is at most 2.  A subset of a
+feasible part is feasible, so greedy takes every pair into its first
+part when the whole set is one feasible part; a greedy value of 2 or
+more therefore proves that one part is not enough.  Branch and bound
+runs only when greedy needs 3 or more parts, over the same incremental
+parts, and stops as soon as it finds 2.
 """
 from __future__ import annotations
 
@@ -44,49 +63,133 @@ def _arrow_table(x: PrecubicalSet, cap=None):
     return pairs, counts, arrows
 
 
-def _feasible_choice(part, counts, arrows):
-    """A compatible class choice on a pair set, or None.
+def _core_arrows(counts, arrows):
+    """The arrows into multi-class pairs, by source and by target, the
+    latter with the preimages of each class under the action; an arrow
+    into a one-class pair always holds and is dropped."""
+    succ = {p: [] for p in counts}
+    pred = {p: [] for p in counts if counts[p] > 1}
+    preimages = {}
+    for p, out in arrows.items():
+        for q, action in out:
+            if counts[q] > 1:
+                if action not in preimages:
+                    preimages[action] = {}
+                    for c, d in enumerate(action):
+                        preimages[action].setdefault(d, []).append(c)
+                succ[p].append((q, action))
+                pred[q].append((p, action, preimages[action]))
+    return succ, pred
 
-    Constraints are functional (source class determines target class), so
-    propagate choices forward and backtrack over free pairs.
-    """
-    part = set(part)
-    choice = {}
 
-    def propagate(stack):
-        while stack:
-            p = stack.pop()
-            for q, action in arrows[p]:
-                if q in part:
-                    forced = action[choice[p]]
-                    if q in choice:
-                        if choice[q] != forced:
-                            return False
-                    else:
-                        choice[q] = forced
-                        stack.append(q)
+class _Part:
+    """A feasible part under construction, with a witness class for each
+    of its multi-class members.  ``add`` takes a pair only when the part
+    stays feasible.  ``remove`` keeps the witness of the other members:
+    a choice compatible on a part is compatible on any subset of it."""
+
+    def __init__(self, counts, succ, pred):
+        self.counts, self.succ, self.pred = counts, succ, pred
+        self.members = set()
+        self.witness = {}
+
+    def _extension(self, p):
+        """A class for p, not yet a member, that the witness admits, or None."""
+        members, witness = self.members, self.witness
+        if self.counts[p] == 1:
+            candidates = (0,)
+        else:
+            forced = {action[witness.get(r, 0)] for r, action, _ in self.pred[p] if r in members}
+            if len(forced) > 1:
+                return None
+            candidates = forced or range(self.counts[p])
+        for c in candidates:
+            if all(witness[q] == action[c] for q, action in self.succ[p] if q in members):
+                return c
+        return None
+
+    def add(self, p) -> bool:
+        c = self._extension(p)
+        self.members.add(p)
+        if c is not None:
+            if self.counts[p] > 1:
+                self.witness[p] = c
+            return True
+        solved = self.solve()
+        if solved is None:
+            self.members.discard(p)
+            return False
+        self.witness = solved
         return True
 
-    order = sorted(part, key=lambda p: (-counts[p], p))
+    def remove(self, p):
+        self.members.discard(p)
+        self.witness.pop(p, None)
 
-    def assign(i):
-        while i < len(order) and order[i] in choice:
-            i += 1
-        if i == len(order):
+    def solve(self):
+        """The least compatible choice on the multi-class members, or None.
+
+        Assigning a class propagates along the arrows both ways: forward
+        it fixes each target, backward it fixes a source whose action
+        has one preimage of that class, and fails on one with none."""
+        counts, succ, pred, members = self.counts, self.succ, self.pred, self.members
+        core = [p for p in members if counts[p] > 1]
+        choice = {}
+        trail = []
+
+        def assign(p, c):
+            stack = [(p, c)]
+            while stack:
+                p, c = stack.pop()
+                if p in choice:
+                    if choice[p] != c:
+                        return False
+                    continue
+                choice[p] = c
+                trail.append(p)
+                stack.extend((q, action[c]) for q, action in succ[p] if q in members)
+                for r, _, preimage in pred[p]:
+                    if r in members and r not in choice and counts[r] > 1:
+                        sources = preimage.get(c, ())
+                        if not sources:
+                            return False
+                        if len(sources) == 1:
+                            stack.append((r, sources[0]))
             return True
-        p = order[i]
-        saved = dict(choice)
-        for c in range(counts[p]):
-            choice[p] = c
-            if propagate([p]) and assign(i + 1):
-                return True
-            choice.clear()
-            choice.update(saved)
-        return False
 
-    if assign(0):
-        return dict(choice)
-    return None
+        def undo(mark):
+            while len(trail) > mark:
+                del choice[trail.pop()]
+
+        for q in core:
+            for r, action, _ in pred[q]:
+                if counts[r] == 1 and r in members and not assign(q, action[0]):
+                    return None
+        order = sorted(core, key=lambda p: (-counts[p], p))
+        frames = []  # (position, class tried, trail length before it)
+        i = c = 0
+        while True:
+            while i < len(order) and order[i] in choice:
+                i += 1
+            if i == len(order):
+                return choice
+            p = order[i]
+            mark = len(trail)
+            while c < counts[p] and not assign(p, c):
+                undo(mark)
+                c += 1
+            if c < counts[p]:
+                frames.append((i, c, mark))
+                i, c = i + 1, 0
+                continue
+            if not frames:
+                return None
+            i, c, mark = frames.pop()
+            undo(mark)
+            c += 1
+
+    def choices(self):
+        return {p: 0 for p in self.members} | self.solve()
 
 
 def verify_partition(x: PrecubicalSet, sp: SectionPartition, cap=None) -> bool:
@@ -111,76 +214,82 @@ def verify_partition(x: PrecubicalSet, sp: SectionPartition, cap=None) -> bool:
     return True
 
 
+def _partition(parts):
+    choices = {}
+    for part in parts:
+        choices.update(part.choices())
+    return SectionPartition(tuple(frozenset(part.members) for part in parts), choices)
+
+
 def ditc_upper(x: PrecubicalSet, cap=None):
     """Greedy bound: repeatedly extract a maximal compatible pair set."""
     return _greedy(*_arrow_table(x, cap=cap))
 
 
 def _greedy(pairs, counts, arrows):
-    remaining = list(pairs)
+    succ, pred = _core_arrows(counts, arrows)
+    remaining = pairs
     parts = []
-    choices = {}
     while remaining:
-        part = []
+        part = _Part(counts, succ, pred)
         deferred = []
         for p in remaining:
-            if _feasible_choice(part + [p], counts, arrows) is not None:
-                part.append(p)
-            else:
+            if not part.add(p):
                 deferred.append(p)
-        choice = _feasible_choice(part, counts, arrows)
-        parts.append(frozenset(part))
-        choices.update(choice)
+        parts.append(part)
         remaining = deferred
-    return len(parts), SectionPartition(tuple(parts), choices)
+    return len(parts), _partition(parts)
+
+
+def _branch_and_bound(pairs, counts, arrows, cap, best, witness):
+    """Improve on an incumbent of 3 or more parts: assign pairs in
+    most-constrained-first order to incremental parts, a pair's next
+    part only after the search under its previous one is done."""
+    order = sorted(pairs, key=lambda p: (-counts[p], p))
+    succ, pred = _core_arrows(counts, arrows)
+    parts = [_Part(counts, succ, pred) for _ in range(min(cap, best))]
+    placed = []  # part of order[j] for each placed j
+    used = [0]  # parts in use after placing order[:j]
+    k = 0  # next part to try for order[len(placed)]
+    while best > 2:
+        if used[-1] < best:
+            if len(placed) == len(order):
+                best, witness = used[-1], _partition(parts[:used[-1]])
+            elif k < min(used[-1] + 1, cap):
+                if parts[k].add(order[len(placed)]):
+                    placed.append(k)
+                    used.append(max(used[-1], k + 1))
+                    k = 0
+                else:
+                    k += 1
+                continue
+        if not placed:
+            break
+        k = placed.pop()
+        used.pop()
+        parts[k].remove(order[len(placed)])
+        k += 1
+    return best, witness
 
 
 def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP, path_cap=None):
     """Minimal partition size with a verifying witness.
 
-    Branch and bound over pairs in most-constrained-first order, with the
-    greedy bound as incumbent.  Raises BudgetExceeded when the search
-    space or the part cap is exhausted before optimality is proved.
+    A greedy value of at most 2 is returned as it stands; otherwise
+    branch and bound starts from it.  Raises BudgetExceeded when the
+    part cap is below the optimum it proves.
     """
     n_pairs = len(gamma(x))
     if n_pairs > GAMMA_CAP:
         raise BudgetExceeded(
             f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
     pairs, counts, arrows = _arrow_table(x, cap=path_cap)
-    n_upper, sp_upper = _greedy(pairs, counts, arrows)
-    if n_upper == 1:
-        return 1, sp_upper
-    order = sorted(pairs, key=lambda p: (-counts[p], p))
-
-    best = [n_upper, sp_upper]
-    assignment = {}
-
-    def feasible(part_id):
-        part = [p for p, k in assignment.items() if k == part_id]
-        return _feasible_choice(part, counts, arrows) is not None
-
-    def search(i, used):
-        if used >= best[0]:
-            return
-        if i == len(order):
-            parts = []
-            choices = {}
-            for k in range(used):
-                members = frozenset(p for p, j in assignment.items() if j == k)
-                parts.append(members)
-                choices.update(_feasible_choice(members, counts, arrows))
-            best[0] = used
-            best[1] = SectionPartition(tuple(parts), choices)
-            return
-        p = order[i]
-        for k in range(min(used + 1, cap)):
-            assignment[p] = k
-            if feasible(k):
-                search(i + 1, max(used, k + 1))
-            del assignment[p]
-
-    search(0, 0)
-    if best[0] > cap:
+    best, witness = _greedy(pairs, counts, arrows)
+    if best == 1:
+        return 1, witness
+    if best > 2:
+        best, witness = _branch_and_bound(pairs, counts, arrows, cap, best, witness)
+    if best > cap:
         raise BudgetExceeded(
-            f"no partition within the part cap {cap}; best bound {best[0]}")
-    return best[0], best[1]
+            f"no partition within the part cap {cap}; best bound {best}")
+    return best, witness

@@ -1,10 +1,14 @@
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from ditop import fixtures as fx
 from ditop.cubecore import PrecubicalSet, build_grid_complex
 
 ALL_FIXTURES = ("seg", "wedge", "pv1", "sf", "hs", "matchbox", "topface")
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so
+# that a failure or a slow test reproduces; without it the draws are random
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(params=ALL_FIXTURES)

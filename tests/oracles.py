@@ -5,7 +5,9 @@ data layouts than the library: midpoint sampling instead of interval
 arithmetic, breadth-first closure instead of union-find, boolean matrix
 closure instead of DFS, cofactor determinants instead of reduction,
 Jacobi sweeps over every same-count pair instead of a colour-seeded
-worklist, dense Smith normal form instead of sparse unit pivots.
+worklist, dense Smith normal form instead of sparse unit pivots, and a
+diTC search that solves every part from scratch over all of its pairs
+instead of keeping a witness on its multi-class pairs.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -188,9 +190,19 @@ def bisim_gfp(s, t):
     def moves(system, o):
         return list(system.arrows[o]) + [(o, tuple(range(system.counts[o])))]
 
-    def commutes(rel, ti, tj, act, act2, bij):
-        return any(all(bij2[act[c]] == act2[bij[c]] for c in range(len(bij)))
-                   for bij2 in rel.get((ti, tj), ()))
+    def commutes(rel, memo, ti, tj, act, act2, bij):
+        # some bij2 in rel[(ti, tj)] with bij2[act[c]] == act2[bij[c]] for
+        # every c: the values bij2 must take on act's image, looked up
+        # among the restrictions of rel[(ti, tj)] to that image
+        want = {}
+        for c in range(len(bij)):
+            if want.setdefault(act[c], act2[bij[c]]) != act2[bij[c]]:
+                return False
+        image = tuple(sorted(want))
+        if (ti, tj, image) not in memo:
+            memo[(ti, tj, image)] = {tuple(bij2[v] for v in image)
+                                     for bij2 in rel.get((ti, tj), ())}
+        return tuple(want[v] for v in image) in memo[(ti, tj, image)]
 
     rel = {
         (oi, oj): set(permutations(range(s.counts[oi])))
@@ -199,12 +211,15 @@ def bisim_gfp(s, t):
     }
     while True:
         nxt = {}
+        memo = {}
         for (oi, oj), bijs in rel.items():
             keep = {
                 bij for bij in bijs
-                if all(any(commutes(rel, ti, tj, act, act2, bij) for tj, act2 in moves(t, oj))
+                if all(any(commutes(rel, memo, ti, tj, act, act2, bij)
+                           for tj, act2 in moves(t, oj))
                        for ti, act in s.arrows[oi])
-                and all(any(commutes(rel, ti, tj, act, act2, bij) for ti, act in moves(s, oi))
+                and all(any(commutes(rel, memo, ti, tj, act, act2, bij)
+                            for ti, act in moves(s, oi))
                         for tj, act2 in t.arrows[oj])
             }
             if keep:
@@ -296,3 +311,126 @@ def relabel_complex(x, perm):
     f = DMapData(tuple(perm), eids, sids)
     g = DMapData(tuple(inv), eids, sids)
     return y, f, g
+
+
+def feasible_choice(part, counts, arrows):
+    """A compatible class choice on a pair set, or None.
+
+    Constraints are functional (source class determines target class), so
+    propagate choices forward and backtrack over free pairs.
+    """
+    part = set(part)
+    choice = {}
+
+    def propagate(stack):
+        while stack:
+            p = stack.pop()
+            for q, action in arrows[p]:
+                if q in part:
+                    forced = action[choice[p]]
+                    if q in choice:
+                        if choice[q] != forced:
+                            return False
+                    else:
+                        choice[q] = forced
+                        stack.append(q)
+        return True
+
+    order = sorted(part, key=lambda p: (-counts[p], p))
+
+    def assign(i):
+        while i < len(order) and order[i] in choice:
+            i += 1
+        if i == len(order):
+            return True
+        p = order[i]
+        saved = dict(choice)
+        for c in range(counts[p]):
+            choice[p] = c
+            if propagate([p]) and assign(i + 1):
+                return True
+            choice.clear()
+            choice.update(saved)
+        return False
+
+    if assign(0):
+        return dict(choice)
+    return None
+
+
+def greedy_reference(pairs, counts, arrows):
+    """Greedy partition that solves the whole part with
+    ``feasible_choice`` for every candidate pair."""
+    from ditop.ditc import SectionPartition
+
+    remaining = list(pairs)
+    parts = []
+    choices = {}
+    while remaining:
+        part = []
+        deferred = []
+        for p in remaining:
+            if feasible_choice(part + [p], counts, arrows) is not None:
+                part.append(p)
+            else:
+                deferred.append(p)
+        choice = feasible_choice(part, counts, arrows)
+        parts.append(frozenset(part))
+        choices.update(choice)
+        remaining = deferred
+    return len(parts), SectionPartition(tuple(parts), choices)
+
+
+def ditc_reference(x, upper=False, cap=6):
+    """diTC with every part solved from scratch: ``(n, SectionPartition)``
+    of the greedy bound when ``upper``, else of branch and bound over all
+    pairs, with the greedy bound as incumbent and ``feasible_choice`` on
+    the whole part at every node."""
+    from ditop.cubecore import gamma
+    from ditop.ditc import GAMMA_CAP, SectionPartition, _arrow_table
+    from ditop.errors import BudgetExceeded
+
+    if upper:
+        return greedy_reference(*_arrow_table(x))
+    n_pairs = len(gamma(x))
+    if n_pairs > GAMMA_CAP:
+        raise BudgetExceeded(
+            f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
+    pairs, counts, arrows = _arrow_table(x)
+    n_upper, sp_upper = greedy_reference(pairs, counts, arrows)
+    if n_upper == 1:
+        return 1, sp_upper
+    order = sorted(pairs, key=lambda p: (-counts[p], p))
+
+    best = [n_upper, sp_upper]
+    assignment = {}
+
+    def feasible(part_id):
+        part = [p for p, k in assignment.items() if k == part_id]
+        return feasible_choice(part, counts, arrows) is not None
+
+    def search(i, used):
+        if used >= best[0]:
+            return
+        if i == len(order):
+            parts = []
+            choices = {}
+            for k in range(used):
+                members = frozenset(p for p, j in assignment.items() if j == k)
+                parts.append(members)
+                choices.update(feasible_choice(members, counts, arrows))
+            best[0] = used
+            best[1] = SectionPartition(tuple(parts), choices)
+            return
+        p = order[i]
+        for k in range(min(used + 1, cap)):
+            assignment[p] = k
+            if feasible(k):
+                search(i + 1, max(used, k + 1))
+            del assignment[p]
+
+    search(0, 0)
+    if best[0] > cap:
+        raise BudgetExceeded(
+            f"no partition within the part cap {cap}; best bound {best[0]}")
+    return best[0], best[1]

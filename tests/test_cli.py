@@ -132,6 +132,40 @@ def test_ditc_upper(pv1_file, capsys):
     assert rep["result"]["n"] >= 2
 
 
+def test_consecutive_runs_see_only_their_own_models(pv1_file, tmp_path, capsys, seg, hs):
+    # the parser is built once per process, so no parse may keep models
+    seg_json = tmp_path / "seg.json"
+    seg_json.write_text(seg.to_json())
+    hs_json = tmp_path / "hs.json"
+    hs_json.write_text(hs.to_json())
+    runs = [
+        (["ditc", "--pv", pv1_file], [16]),
+        (["ditc", "--complex", str(seg_json)], [seg.n_vertices]),
+        (["bisim", "--complex", str(hs_json), "--complex", str(seg_json)],
+         [hs.n_vertices, seg.n_vertices]),
+        (["bisim", "--complex", str(seg_json), "--pv", pv1_file], [seg.n_vertices, 16]),
+        (["ditc", "--complex", str(hs_json)], [hs.n_vertices]),
+    ]
+    for argv, vertices in runs:
+        assert run(argv + ["--json-only"]) == 0
+        assert [m["vertices"] for m in _last_json(capsys)["models"]] == vertices
+
+
+def test_the_parser_is_built_once(monkeypatch, pv1_file, capsys):
+    from ditop import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(["dicontractible", "--pv", pv1_file, "--json-only"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_fixtures_roundtrip(tmp_path, capsys, sf):
     assert run(["fixtures", "sf", "--dir", str(tmp_path)]) == 0
     text = (tmp_path / "sf.json").read_text()
