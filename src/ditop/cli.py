@@ -19,7 +19,7 @@ import time
 from . import __version__
 from .cubecore import PrecubicalSet, build_grid_complex
 from .ditc import DEFAULT_PART_CAP, ditc_exact, ditc_upper
-from .equivcheck import DEFAULT_SEARCH_DEPTH, DMapData, check_dihomotopy_equivalence, check_strong
+from .equivcheck import DMapData, check_dihomotopy_equivalence, check_strong
 from .errors import BudgetExceeded, ModelError, PathCapExceeded
 from .fixtures import write_fixture
 from .natsys import bisimilar, build_natural_system
@@ -151,8 +151,8 @@ def _cmd_equiv(args):
         result = {"strong": True, "verdict": verdict}
         text = f"strong equivalence check: {verdict}"
     else:
-        verdict, detail = check_dihomotopy_equivalence(x, y, f, g, depth=args.depth)
-        result = {"strong": False, "verdict": verdict, "depth": args.depth}
+        verdict, detail = check_dihomotopy_equivalence(x, y, f, g)
+        result = {"strong": False, "verdict": verdict}
         if verdict:
             text = "accepted at class level"
         else:
@@ -160,11 +160,8 @@ def _cmd_equiv(args):
                 "stage": detail.stage,
                 "location": list(detail.location),
                 "detail": detail.detail,
-                "exhausted": detail.exhausted,
             }
-            kind = ("no match found at depth" if detail.exhausted else
-                    "refuted")
-            text = f"{kind} {args.depth}: {detail.stage} at {detail.location}"
+            text = f"refuted: {detail.stage} at {detail.location}"
     return [x, y], result, text
 
 
@@ -248,7 +245,6 @@ def build_parser():
     sp.add_argument("--f", required=True, help="dmap x -> y (JSON)")
     sp.add_argument("--g", required=True, help="dmap y -> x (JSON)")
     sp.add_argument("--strong", action="store_true")
-    sp.add_argument("--depth", type=int, default=DEFAULT_SEARCH_DEPTH)
     sp.set_defaults(body=_cmd_equiv, models=(), n_models=0)
 
     sp = subs.add_parser("dicontractible", help="decide dicontractibility")

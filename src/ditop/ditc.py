@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
-from .traceclass import arrow_action, elementary_arrows, extend_class, trace_classes
+from .traceclass import elementary_actions, elementary_arrows, extend_class, trace_classes
 
 DEFAULT_PART_CAP = 6
 GAMMA_CAP = 2500
@@ -56,10 +56,7 @@ def _arrow_table(x: PrecubicalSet, cap=None):
     arrows = {}
     for pair in pairs:
         counts[pair] = trace_classes(x, *pair, cap=cap).count
-        arrows[pair] = [
-            (ar.target, arrow_action(x, ar, cap=cap))
-            for ar in elementary_arrows(x, pair)
-        ]
+        arrows[pair] = list(elementary_actions(x, pair, cap))
     return pairs, counts, arrows
 
 

@@ -9,6 +9,12 @@ be directed-homotopic to identities, and four families of extension
 diagrams must admit matching arrows.  ``check_strong`` verifies the
 stronger pointwise conditions that imply the diagrammatic ones.
 
+Both checks read the class tables of ``traceclass`` and list no dipaths.
+The action of an arrow (alpha, beta) depends only on the classes of
+alpha and beta, so the search for a matching arrow runs over class
+pairs, in class order, and is exact: a refusal names a diagram that no
+arrow makes commute.
+
 Every condition is symmetric in the two maps.  Diagram families A and D
 are one check with the roles of (x, f, F) and (y, g, G) swapped, and so
 are families B and C, strong conditions (a) and (b), and strong
@@ -20,12 +26,10 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .cubecore import DPath, PrecubicalSet, concat, gamma, json_int, reachable
+from .cubecore import DPath, PrecubicalSet, gamma, json_int
 from .errors import ModelError
 from .traceclass import (
-    ExtensionArrow, arrow_action, class_of, elementary_arrows, trace_classes)
-
-DEFAULT_SEARCH_DEPTH = 2
+    ExtensionArrow, _table, class_pair_action, elementary_actions, trace_classes)
 
 
 @dataclass(frozen=True)
@@ -209,9 +213,12 @@ def map_path(f: DMapData, p: DPath) -> DPath:
 
 def induced_class_map(x, y, f, a, b, cap=None):
     """Tuple sending each class id at (a,b) in x to a class id at
-    (f(a),f(b)) in y."""
+    (f(a),f(b)) in y, for a valid dmap f: x -> y."""
     cs = trace_classes(x, a, b, cap=cap)
-    return tuple(class_of(y, map_path(f, rep), cap=cap) for rep in cs.representatives)
+    fa = f.vertex_map[a]
+    trace_classes(y, fa, f.vertex_map[b], cap=cap)
+    fold = _table(y, fa).fold
+    return tuple(fold(0, map_path(f, rep).edges) for rep in cs.representatives)
 
 
 # -- equivalence checking ----------------------------------------------------
@@ -230,18 +237,16 @@ class EquivalenceCertificate:
     F: dict
     G: dict
     matches: dict
-    depth: int
 
 
 @dataclass(frozen=True)
 class EquivFailure:
-    """Failed check: the stage, its location, and whether the failure is
-    a definite refutation or only search-depth exhaustion."""
+    """Failed check: the stage, its location and a detail.  A diagram
+    failure is exact: no arrow of any length makes that diagram commute."""
 
     stage: str
     location: tuple
     detail: str
-    exhausted: bool = False
 
 
 # One map of the pair: m runs own -> other; per pair of own, fwd is the
@@ -249,73 +254,27 @@ class EquivFailure:
 _Side = namedtuple("_Side", "own other m fwd inv")
 
 
-def _first_path(w: PrecubicalSet, u, v):
-    """Lexicographically first dipath u -> v; v must be reachable."""
-    acc = []
-    at = u
-    while at != v:
-        for e in w.out_edges(at):
-            if reachable(w, w.edges[e][1], v):
-                acc.append(e)
-                at = w.edges[e][1]
-                break
-    return DPath(u, tuple(acc))
-
-
-def _bounded_paths(w: PrecubicalSet, u, v, depth):
-    """All dipaths u -> v with at most ``depth`` edges, in depth-first
-    order."""
-    out = []
-    stack = [(u, ())]
-    while stack:
-        at, acc = stack.pop()
-        if at == v:
-            out.append(DPath(u, acc))
-        if len(acc) < depth:
-            stack.extend((w.edges[e][1], acc + (e,)) for e in reversed(w.out_edges(at)))
-    return out
-
-
-def _arrow_candidates(w, src, tgt, depth):
-    """Arrows src -> tgt with prefix and suffix of bounded length."""
-    prefixes = _bounded_paths(w, tgt[0], src[0], depth)
-    suffixes = _bounded_paths(w, src[1], tgt[1], depth)
-    return [
-        ExtensionArrow(src, tgt, al, be) for al in prefixes for be in suffixes
-    ]
-
-
-def _homotopic_to_identity(w: PrecubicalSet, h: DMapData, cap=None):
-    """Is h directed-homotopic to the identity of w?
-
-    Accepts h = id on vertices outright; otherwise looks for a family of
-    connecting dipaths (all pointing from x to h(x), or all from h(x) to
-    x) under which extension commutes with the induced class maps.  The
-    lexicographically first connecting paths are used; a refusal is
-    therefore conservative only for models where class sets are not all
-    singletons.
-    """
-    vm = h.vertex_map
-    return all(vm[v] == v for v in range(w.n_vertices)) or any(
-        _connection_commutes(w, h, forward, cap) for forward in (True, False))
-
-
 def _connection_commutes(w, h, forward, cap):
     """Do the first dipaths w_v from each v to h(v) (forward) or back
     commute with h on every class representative p at every pair (a, b)?
     Forward, p * w_b against w_a * h(p), both a -> h(b); backward,
-    h(p) * w_b against w_a * p, both h(a) -> b."""
-    vm = h.vertex_map
+    h(p) * w_b against w_a * p, both h(a) -> b.  Both sides are folds
+    over the class table of their start.  Only the first connecting
+    dipaths are tried, so a refusal is conservative on models where
+    some class set has more than one class."""
+    vm, pairs = h.vertex_map, gamma(w)
     ends = [(v, vm[v]) if forward else (vm[v], v) for v in range(w.n_vertices)]
-    if not all(reachable(w, s, t) for s, t in ends):
+    if not all(end in pairs for end in ends):
         return False
-    conn = [_first_path(w, s, t) for s, t in ends]
-    for a, b in gamma(w):
+    # the first dipath of a pair is the least member of its class 0, so
+    # in the table of a's side class 0 at the other end of w_a is [w_a]
+    conn = [trace_classes(w, s, t, cap=cap).representatives[0].edges for s, t in ends]
+    for a, b in pairs:
+        fold = _table(w, a if forward else vm[a]).fold
         for rep in trace_classes(w, a, b, cap=cap).representatives:
-            hp = map_path(h, rep)
-            p, q = (rep, hp) if forward else (hp, rep)
-            if (class_of(w, concat(w, p, conn[b]), cap=cap)
-                    != class_of(w, concat(w, conn[a], q), cap=cap)):
+            hp = map_path(h, rep).edges
+            p, q = (rep.edges, hp) if forward else (hp, rep.edges)
+            if fold(fold(0, p), conn[b]) != fold(0, q):
                 return False
     return True
 
@@ -323,7 +282,8 @@ def _connection_commutes(w, h, forward, cap):
 def _stages_1_to_3(x, y, f, g, cap):
     """Stages 1-3 of both checks: dmap validation, class bijections of f
     then g, homotopies of g*f then f*g to the identities.  Returns
-    (None, (f side, g side)) or (EquivFailure, None)."""
+    (None, (f side, g side)) or (EquivFailure, None).  Every pair of both
+    models is traced within ``cap`` once stage 1 has passed."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
@@ -346,92 +306,121 @@ def _stages_1_to_3(x, y, f, g, cap):
     for stage, name, w, first, then in (
         ("gf-homotopy", "g*f", x, f, g), ("fg-homotopy", "f*g", y, g, f)
     ):
-        if not _homotopic_to_identity(w, compose_dmaps(first, then), cap=cap):
+        # directed-homotopic to the identity: equal to it on vertices, or
+        # joined to it by connecting dipaths that commute with extension
+        h = compose_dmaps(first, then)
+        if any(h.vertex_map[v] != v for v in range(w.n_vertices)) and not any(
+                _connection_commutes(w, h, forward, cap) for forward in (True, False)):
             return EquivFailure(
                 stage, (), f"{name} admits no directed homotopy to id"), None
     return None, tuple(sides)
 
 
 def _commutes(side, src, tgt, act_own, act_other):
-    """Do the class map of ``side`` and its inverse commute, from pair
-    ``src`` to pair ``tgt``, with the actions of two arrows?"""
-    fwd, inv = side.fwd, side.inv
-    return (
-        all(fwd[tgt][act_own[c]] == act_other[fwd[src][c]]
-            for c in range(len(act_own)))
-        and all(inv[tgt][act_other[w]] == act_own[inv[src][w]]
-                for w in range(len(act_other)))
-    )
+    """Does the class map of ``side`` commute, from pair ``src`` to pair
+    ``tgt``, with the actions of two arrows?  Its inverse then commutes
+    too, being the inverse of a bijection on both pairs."""
+    return (tuple(map(side.fwd[tgt].__getitem__, act_own))
+            == tuple(map(act_other.__getitem__, side.fwd[src])))
 
 
-def _forward_family(label, side, depth, cap, matches):
+def _elementary(w, pair, cap):
+    """(edge, (target, action)) of each elementary arrow of w out of ``pair``."""
+    return zip(w.in_edges(pair[0]) + w.out_edges(pair[1]), elementary_actions(w, pair, cap))
+
+
+def _edge_classes(w, pair, e):
+    """The (prefix, suffix) class pair of the elementary arrow of w along
+    edge e out of ``pair``: a prefix when e ends at the pair's start."""
+    s, t = w.edges[e]
+    c = _table(w, s).ext[e][0]
+    return (c, 0) if t == pair[0] else (0, c)
+
+
+def _first_match(w, src, targets, commutes):
+    """The first arrow of w from ``src`` into one of ``targets``, trying
+    class pairs (prefix class k, suffix class l) in class order, whose
+    action ``commutes(target, action)`` accepts, or None.  The arrow is
+    built from representatives only for that match.  Stage 1 has traced
+    every pair within the path cap, which bounds the class pairs."""
+    a, b = src
+    for tgt in targets:
+        a2, b2 = tgt
+        for k in range(_table(w, a2).count[a]):
+            for l in range(_table(w, b).count[b2]):
+                if commutes(tgt, class_pair_action(w, src, tgt, k, l)):
+                    return ExtensionArrow(
+                        src, tgt, _table(w, a2).representatives(w, a)[k],
+                        _table(w, b).representatives(w, b2)[l])
+    return None
+
+
+def _forward_family(label, side, cap, matches):
     """Family A on the f side, D on the g side: each elementary arrow of
     the own model needs a commuting arrow between the image pairs.
     Returns an EquivFailure or None and fills ``matches``."""
     own, other, mv = side.own, side.other, side.m.vertex_map
     for a, b in gamma(own):
-        for ar in elementary_arrows(own, (a, b)):
-            a2, b2 = ar.target
-            act_own = arrow_action(own, ar, cap)
-            cands = _arrow_candidates(
-                other, (mv[a], mv[b]), (mv[a2], mv[b2]), depth)
-            hit = next(
-                (cand for cand in cands if _commutes(
-                    side, (a, b), (a2, b2), act_own, arrow_action(other, cand, cap))),
-                None)
+        for (a2, b2), act_own in elementary_actions(own, (a, b), cap):
+            hit = _first_match(
+                other, (mv[a], mv[b]), [(mv[a2], mv[b2])],
+                lambda _, act: _commutes(side, (a, b), (a2, b2), act_own, act))
             if hit is None:
                 return EquivFailure(
                     f"diagram-{label}", ((a, b), (a2, b2)),
-                    "no matching target arrow commutes", exhausted=True)
+                    "no matching target arrow commutes")
             matches[(label, (a, b), (a2, b2))] = hit
     return None
 
 
-def _lifting_obligations(side):
+def _lifting_obligations(side, cap):
     """Per pair (c, d) of the own model, each elementary arrow of the
-    other model from its image into an image pair, with the preimages of
-    that pair that extend (c, d).  Other arrows carry no obligation."""
-    own, mv = side.own, side.m.vertex_map
+    other model from its image into an image pair, as its class pair,
+    target and action, with the preimages of that pair that extend
+    (c, d).  Other arrows carry no obligation."""
+    own, other, mv = side.own, side.other, side.m.vertex_map
+    pairs = gamma(own)
     image = {}
-    for a, b in gamma(own):
+    for a, b in pairs:
         image.setdefault((mv[a], mv[b]), []).append((a, b))
-    for c, d in gamma(own):
-        for ar in elementary_arrows(side.other, (mv[c], mv[d])):
-            if ar.target in image:
-                yield (c, d), ar, [
-                    (c2, d2) for c2, d2 in image[ar.target]
-                    if reachable(own, c2, c) and reachable(own, d, d2)
-                ]
+    arrows = {}  # image pair -> its obligation arrows, shared by preimages
+    for c, d in pairs:
+        src = (mv[c], mv[d])
+        if src not in arrows:
+            arrows[src] = [
+                (_edge_classes(other, src, e), target, action)
+                for e, (target, action) in _elementary(other, src, cap)
+                if target in image]
+        for kl, target, action in arrows[src]:
+            yield (c, d), kl, target, action, [
+                (c2, d2) for c2, d2 in image[target]
+                if (c2, c) in pairs and (d, d2) in pairs]
 
 
-def _lifting_family(label, side, depth, cap, matches):
+def _lifting_family(label, side, cap, matches):
     """Family B on the g side, C on the f side: each lifting obligation
     needs a commuting arrow of the own model into some preimage.  Returns
     an EquivFailure or None and fills ``matches``."""
-    own = side.own
-    for src, ar, pre in _lifting_obligations(side):
-        act_other = arrow_action(side.other, ar, cap)
-        found = next(
-            ((tgt, cand) for tgt in pre
-             for cand in _arrow_candidates(own, src, tgt, depth)
-             if _commutes(side, src, tgt, arrow_action(own, cand, cap), act_other)),
-            None)
+    for src, _, target, act_other, pre in _lifting_obligations(side, cap):
+        found = _first_match(
+            side.own, src, pre,
+            lambda tgt, act: _commutes(side, src, tgt, act, act_other))
         if found is None:
             return EquivFailure(
-                f"diagram-{label}", (src, ar.target),
-                "no source-side preimage arrow commutes", exhausted=bool(pre))
-        matches[(label, src, ar.target)] = found
+                f"diagram-{label}", (src, target),
+                "no source-side preimage arrow commutes")
+        matches[(label, src, target)] = found
     return None
 
 
-def check_dihomotopy_equivalence(x, y, f, g, depth=DEFAULT_SEARCH_DEPTH, cap=None):
+def check_dihomotopy_equivalence(x, y, f, g, cap=None):
     """Class-level equivalence check for the pair (f: x->y, g: y->x).
 
     Returns (True, EquivalenceCertificate) or (False, EquivFailure).
     Stages, in order: bijectivity of the class maps of f on all pairs of
     x; same for g on y; directed homotopy of g*f and f*g to identities;
-    then four diagram families demanding matching extension arrows, with
-    the existential search bounded by ``depth``.
+    then four diagram families demanding matching extension arrows,
+    searched exactly over class pairs.
     """
     failure, sides = _stages_1_to_3(x, y, f, g, cap)
     if failure is not None:
@@ -444,25 +433,26 @@ def check_dihomotopy_equivalence(x, y, f, g, depth=DEFAULT_SEARCH_DEPTH, cap=Non
         ("C", _lifting_family, f_side),
         ("D", _forward_family, g_side),
     ):
-        failure = family(label, side, depth, cap, matches)
+        failure = family(label, side, cap, matches)
         if failure is not None:
             return False, failure
     return True, EquivalenceCertificate(
-        x, y, f, g, f_side.inv, g_side.inv, matches, depth)
+        x, y, f, g, f_side.inv, g_side.inv, matches)
 
 
 def _strong_push(side, cap):
     """Strong condition (a) on the f side, (b) on the g side: each
-    elementary arrow of the own model commutes with its image arrow."""
-    own, m, mv = side.own, side.m, side.m.vertex_map
+    elementary arrow of the own model commutes with its image arrow,
+    the elementary arrow of the image edge, or the identity when the
+    edge collapses."""
+    own, other, m, mv = side.own, side.other, side.m, side.m.vertex_map
     for a, b in gamma(own):
-        for ar in elementary_arrows(own, (a, b)):
-            a2, b2 = ar.target
-            m_ar = ExtensionArrow(
-                (mv[a], mv[b]), (mv[a2], mv[b2]),
-                map_path(m, ar.alpha), map_path(m, ar.beta))
-            if not _commutes(side, (a, b), (a2, b2), arrow_action(own, ar, cap),
-                             arrow_action(side.other, m_ar, cap)):
+        for e, ((a2, b2), act_own) in _elementary(own, (a, b), cap):
+            src, tgt = (mv[a], mv[b]), (mv[a2], mv[b2])
+            tag, j = m.edge_map[e]
+            k, l = _edge_classes(other, src, j) if tag == "e" else (0, 0)
+            if not _commutes(side, (a, b), (a2, b2), act_own,
+                             class_pair_action(other, src, tgt, k, l)):
                 return False
     return True
 
@@ -470,21 +460,14 @@ def _strong_push(side, cap):
 def _strong_lift(side, cap):
     """Strong condition (c) on the f side, (d) on the g side: each lifting
     obligation commutes, for some preimage, with the own arrow whose
-    prefix and suffix represent the inverse images of its own."""
-    own, other, inv = side.own, side.other, side.inv
-
-    def lift(a, b, path):
-        cl = class_of(other, path, cap=cap) if path.edges else 0
-        return trace_classes(own, a, b, cap=cap).representatives[inv[(a, b)][cl]]
-
-    for (a, b), ar, pre in _lifting_obligations(side):
-        act_other = arrow_action(other, ar, cap)
-        for a2, b2 in pre:
-            lifted = ExtensionArrow(
-                (a, b), (a2, b2), lift(a2, a, ar.alpha), lift(b, b2, ar.beta))
-            if _commutes(side, (a, b), (a2, b2), arrow_action(own, lifted, cap), act_other):
-                break
-        else:
+    prefix and suffix classes are the inverse images of its own."""
+    own, inv = side.own, side.inv
+    for (a, b), (k, l), _, act_other, pre in _lifting_obligations(side, cap):
+        if not any(
+            _commutes(side, (a, b), (a2, b2), class_pair_action(
+                own, (a, b), (a2, b2), inv[(a2, a)][k], inv[(b, b2)][l]), act_other)
+            for a2, b2 in pre
+        ):
             return False
     return True
 
@@ -511,8 +494,7 @@ def compose_equivalences(e1: EquivalenceCertificate, e2: EquivalenceCertificate)
         raise ModelError("certificates do not compose: middle models differ")
     f = compose_dmaps(e1.f, e2.f)
     g = compose_dmaps(e2.g, e1.g)
-    ok, res = check_dihomotopy_equivalence(
-        e1.x, e2.y, f, g, depth=max(e1.depth, e2.depth))
+    ok, res = check_dihomotopy_equivalence(e1.x, e2.y, f, g)
     if not ok:
         raise ModelError(f"composite fails re-verification: {res}")
     return res
@@ -530,5 +512,4 @@ def check_two_of_three_surjective(e1, e21, f2: DMapData):
     if compose_dmaps(e1.f, f2).vertex_map != e21.f.vertex_map:
         raise ModelError("f2*f1 does not match the composite certificate")
     g2 = compose_dmaps(e21.g, e1.f)  # z -> x -> y
-    return check_dihomotopy_equivalence(
-        y, z, f2, g2, depth=max(e1.depth, e21.depth))
+    return check_dihomotopy_equivalence(y, z, f2, g2)

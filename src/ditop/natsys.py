@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
-from .traceclass import arrow_action, elementary_arrows, trace_classes
+from .traceclass import elementary_actions, trace_classes
 
 BIJECTION_CAP = 6
 
@@ -70,10 +70,7 @@ def build_natural_system(x: PrecubicalSet, cap=None) -> NaturalClassSystem:
     arrows = []
     for pair in objects:
         counts.append(trace_classes(x, *pair, cap=cap).count)
-        arrows.append(tuple(
-            (index[arrow.target], arrow_action(x, arrow, cap=cap))
-            for arrow in elementary_arrows(x, pair)
-        ))
+        arrows.append(tuple((index[t], act) for t, act in elementary_actions(x, pair, cap)))
     return NaturalClassSystem(objects, tuple(counts), tuple(arrows))
 
 

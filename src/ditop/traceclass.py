@@ -241,39 +241,26 @@ def class_of(x: PrecubicalSet, p: DPath, cap=None) -> int:
     return _table(x, p.start).fold(0, p.edges)
 
 
-def _source_classes(x: PrecubicalSet, arrow: ExtensionArrow, cap) -> ClassSet:
-    """Check an arrow's paths; return the classes of its source pair."""
+def arrow_action(x: PrecubicalSet, arrow: ExtensionArrow, cap=None) -> tuple:
+    """The action of an arrow, tabulated over the classes of its source."""
     if x.check_path(arrow.alpha) != arrow.source[0] or arrow.alpha.start != arrow.target[0]:
         raise ModelError("arrow prefix does not run target-start -> source-start")
     if arrow.beta.start != arrow.source[1] or x.check_path(arrow.beta) != arrow.target[1]:
         raise ModelError("arrow suffix does not run source-end -> target-end")
-    return trace_classes(x, *arrow.source, cap=cap)
-
-
-def _action(x: PrecubicalSet, arrow: ExtensionArrow, cap) -> tuple:
-    """[q] -> [alpha.q.beta] over the classes of a checked arrow's source."""
-    sy = arrow.source[1]
-    trace_classes(x, *arrow.target, cap=cap)
-    outer = _table(x, arrow.target[0])
-    inner = _table(x, arrow.source[0])
-    if arrow.alpha.edges:
-        act = inner.prefix(x, outer, outer.fold(0, arrow.alpha.edges), sy)
-    else:
-        act = range(inner.count[sy])
-    return tuple(outer.fold(c, arrow.beta.edges) for c in act)
+    (a, b), (a2, b2) = arrow.source, arrow.target
+    for pair in (arrow.source, arrow.target, (b, b2)):
+        trace_classes(x, *pair, cap=cap)
+    return class_pair_action(x, arrow.source, arrow.target,
+                             _table(x, a2).fold(0, arrow.alpha.edges),
+                             _table(x, b).fold(0, arrow.beta.edges))
 
 
 def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int, cap=None) -> int:
     """Class of alpha * rep(c) * beta at the target pair."""
-    if not (0 <= c < _source_classes(x, arrow, cap).count):
+    action = arrow_action(x, arrow, cap)
+    if not (0 <= c < len(action)):
         raise ModelError(f"class {c} not valid at pair {arrow.source}")
-    return _action(x, arrow, cap)[c]
-
-
-def arrow_action(x: PrecubicalSet, arrow: ExtensionArrow, cap=None) -> tuple:
-    """The action of an arrow, tabulated over the classes of its source."""
-    _source_classes(x, arrow, cap)
-    return _action(x, arrow, cap)
+    return action[c]
 
 
 def identity_arrow(pair) -> ExtensionArrow:
@@ -291,6 +278,43 @@ def elementary_arrows(x: PrecubicalSet, pair):
     for e in x.out_edges(b):
         t = x.edges[e][1]
         yield ExtensionArrow((a, b), (a, t), DPath(a), DPath(b, (e,)))
+
+
+def elementary_actions(x: PrecubicalSet, pair, cap=None):
+    """(target, action) of each elementary arrow out of a pair, in
+    ``elementary_arrows`` order, read from the class tables: an in-edge
+    of the start acts by its prefix row, an out-edge of the end by its
+    ``ext`` row."""
+    a, b = pair
+    trace_classes(x, a, b, cap=cap)
+    inner = _table(x, a)
+    for e in x.in_edges(a):
+        s = x.edges[e][0]
+        trace_classes(x, s, b, cap=cap)
+        outer = _table(x, s)
+        yield (s, b), inner.prefix(x, outer, outer.ext[e][0], b)
+    for e in x.out_edges(b):
+        t = x.edges[e][1]
+        trace_classes(x, a, t, cap=cap)
+        yield (a, t), inner.ext[e]
+
+
+def class_pair_action(x: PrecubicalSet, source, target, k, l) -> tuple:
+    """The action [q] -> [alpha.q.beta] of an arrow from ``source`` to
+    ``target`` whose prefix alpha has class k and suffix beta class l.
+    It depends on those classes only.  The source, target, prefix and
+    suffix pairs must have been traced."""
+    (a, b), (a2, b2) = source, target
+    inner = _table(x, a)
+    if a2 == a:
+        outer, row = inner, range(inner.count[b])
+    else:
+        outer = _table(x, a2)
+        row = inner.prefix(x, outer, k, b)
+    if b2 == b:
+        return tuple(row)
+    beta = _table(x, b).representatives(x, b2)[l].edges
+    return tuple([outer.fold(c, beta) for c in row])
 
 
 def compose_arrows(x: PrecubicalSet, first: ExtensionArrow, second: ExtensionArrow) -> ExtensionArrow:

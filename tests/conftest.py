@@ -53,15 +53,22 @@ def topface():
 
 @st.composite
 def grid_models(draw):
-    """A 1-3D grid (at most 3x3 or 2x2x2 cells) minus up to two boxes."""
+    """A 1-3D grid (at most 3x3 or 2x2x2 cells) minus up to two boxes.
+
+    Each box leaves at least one axis partial, so the origin stays: a
+    box spanning every axis in full removes every vertex, because full
+    axes are closed.  Grids with one cell per axis get no box."""
     n = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(1, 3 if n < 3 else 2)) for _ in range(n))
+    partial = [i for i, d in enumerate(dims) if d > 1]
     boxes = []
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2)) if partial else 0):
+        keep = draw(st.sampled_from(partial))
         box = []
-        for d in dims:
+        for i, d in enumerate(dims):
             lo = draw(st.integers(0, d - 1))
-            box.append((lo, draw(st.integers(lo + 1, d))))
+            top = d - 1 if i == keep and lo == 0 else d
+            box.append((lo, draw(st.integers(lo + 1, top))))
         boxes.append(box)
     return build_grid_complex(dims, boxes)
 

@@ -5,9 +5,11 @@ data layouts than the library: midpoint sampling instead of interval
 arithmetic, breadth-first closure instead of union-find, boolean matrix
 closure instead of DFS, cofactor determinants instead of reduction,
 Jacobi sweeps over every same-count pair instead of a colour-seeded
-worklist, dense Smith normal form instead of sparse unit pivots, and a
+worklist, dense Smith normal form instead of sparse unit pivots, a
 diTC search that solves every part from scratch over all of its pairs
-instead of keeping a witness on its multi-class pairs.
+instead of keeping a witness on its multi-class pairs, and an
+equivalence check that tries every pair of dipaths as an arrow instead
+of every pair of classes.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -234,6 +236,146 @@ def bisim_gfp(s, t):
             return False, (side, system.objects[o])
     return True, tuple((s.objects[oi], min(rel[(oi, oj)]), t.objects[oj])
                        for oi, oj in sorted(rel))
+
+
+class _PathClasses:
+    """The classes of one model from listed dipaths: per pair, each path
+    (an edge tuple) -> its flip component's index, which is its class
+    id, and the least member of each component."""
+
+    def __init__(self, x):
+        self.x = x
+        self.pairs = sorted(closure_pairs(x))
+        self.pair_set = set(self.pairs)
+        self._classes = {}
+
+    def _of(self, a, b):
+        if (a, b) not in self._classes:
+            comps = flip_classes(self.x, a, b)
+            self._classes[(a, b)] = (
+                {p: i for i, comp in enumerate(comps) for p in comp},
+                [comp[0] for comp in comps])
+        return self._classes[(a, b)]
+
+    def cls(self, a, b, p):
+        return self._of(a, b)[0][p]
+
+    def least(self, a, b):
+        return self._of(a, b)[1]
+
+    def paths(self, a, b):
+        return list(self._of(a, b)[0])
+
+    def action(self, src, tgt, alpha, beta):
+        """[q] -> [alpha.q.beta] by concatenation and look-up."""
+        return tuple(self.cls(*tgt, alpha + q + beta) for q in self.least(*src))
+
+    def arrows(self, pair):
+        """(target, alpha, beta) of each elementary arrow out of a pair:
+        the in-edges of its start by source vertex, then the out-edges of
+        its end by target vertex."""
+        x, (a, b) = self.x, pair
+        ins = sorted((s, e) for e, (s, t) in enumerate(x.edges) if t == a)
+        outs = sorted((t, e) for e, (s, t) in enumerate(x.edges) if s == b)
+        return ([((s, b), (e,), ()) for s, e in ins]
+                + [((a, t), (), (e,)) for t, e in outs])
+
+
+def _map_edges(m, p):
+    return tuple(i for tag, i in (m.edge_map[e] for e in p) if tag == "e")
+
+
+def equiv_by_paths(x, y, f, g):
+    """Dihomotopy equivalence of valid dmaps f: x -> y and g: y -> x from
+    the definition, with every pair of dipaths tried as an arrow:
+    (True, None) or (False, (stage, location)).
+
+    Paths come from ``all_paths_bfs`` and classes from ``flip_classes``;
+    every action is computed by concatenating paths and looking the
+    result up.  Stages, pairs and arrows are visited in the order of
+    ``check_dihomotopy_equivalence``, so the first failure is the same.
+    """
+    X, Y = _PathClasses(x), _PathClasses(y)
+    sides = {}
+    for name, own, other, m in (("f", X, Y, f), ("g", Y, X, g)):
+        vm = m.vertex_map
+        fwd, inv = {}, {}
+        for a, b in own.pairs:
+            img = tuple(other.cls(vm[a], vm[b], _map_edges(m, p)) for p in own.least(a, b))
+            n = len(other.least(vm[a], vm[b]))
+            if sorted(img) != list(range(n)):
+                return False, (f"{name}-class-bijection", (a, b))
+            fwd[(a, b)] = img
+            inv[(a, b)] = tuple(img.index(i) for i in range(n))
+        sides[name] = (own, other, m, fwd, inv)
+
+    for stage, w, first, then in (("gf-homotopy", X, f, g), ("fg-homotopy", Y, g, f)):
+        hv = [then.vertex_map[first.vertex_map[v]] for v in range(w.x.n_vertices)]
+        if hv == list(range(w.x.n_vertices)):
+            continue
+        for forward in (True, False):
+            ends = [(v, hv[v]) if forward else (hv[v], v) for v in range(w.x.n_vertices)]
+            if not all(end in w.pair_set for end in ends):
+                continue
+            # the first connecting dipath in (target vertex, edge) order
+            conn = [min(w.paths(s, t), key=lambda p: [(w.x.edges[e][1], e) for e in p])
+                    for s, t in ends]
+            if all(
+                w.cls(start, end, p + conn[b]) == w.cls(start, end, conn[a] + q)
+                for a, b in w.pairs
+                for p0 in w.paths(a, b)
+                for hp in [_map_edges(then, _map_edges(first, p0))]
+                for p, q in [(p0, hp) if forward else (hp, p0)]
+                for start, end in [(a, hv[b]) if forward else (hv[a], b)]
+            ):
+                break
+        else:
+            return False, (stage, ())
+
+    def commutes(fwd, inv, src, tgt, act_own, act_other):
+        return (all(fwd[tgt][act_own[c]] == act_other[fwd[src][c]]
+                    for c in range(len(act_own)))
+                and all(inv[tgt][act_other[w]] == act_own[inv[src][w]]
+                        for w in range(len(act_other))))
+
+    for label, name, lifting in (("A", "f", False), ("B", "g", True),
+                                 ("C", "f", True), ("D", "g", False)):
+        own, other, m, fwd, inv = sides[name]
+        vm = m.vertex_map
+        if not lifting:
+            # each own arrow needs some commuting arrow between the images
+            for a, b in own.pairs:
+                for (a2, b2), alpha, beta in own.arrows((a, b)):
+                    act = own.action((a, b), (a2, b2), alpha, beta)
+                    src, tgt = (vm[a], vm[b]), (vm[a2], vm[b2])
+                    if not any(
+                        commutes(fwd, inv, (a, b), (a2, b2), act,
+                                 other.action(src, tgt, al, be))
+                        for al in other.paths(tgt[0], src[0])
+                        for be in other.paths(src[1], tgt[1])
+                    ):
+                        return False, (f"diagram-{label}", ((a, b), (a2, b2)))
+            continue
+        # each other arrow from an image into an image needs some
+        # commuting own arrow into a preimage
+        image = {}
+        for a, b in own.pairs:
+            image.setdefault((vm[a], vm[b]), []).append((a, b))
+        for c, d in own.pairs:
+            for target, alpha, beta in other.arrows((vm[c], vm[d])):
+                if target not in image:
+                    continue
+                act = other.action((vm[c], vm[d]), target, alpha, beta)
+                if not any(
+                    commutes(fwd, inv, (c, d), (c2, d2),
+                             own.action((c, d), (c2, d2), al, be), act)
+                    for c2, d2 in image[target]
+                    if (c2, c) in own.pair_set and (d, d2) in own.pair_set
+                    for al in own.paths(c2, c)
+                    for be in own.paths(d, d2)
+                ):
+                    return False, (f"diagram-{label}", ((c, d), target))
+    return True, None
 
 
 def det(m):

@@ -10,6 +10,7 @@ import ditop
 
 from ditop.cli import run
 from ditop.cubecore import PrecubicalSet, build_grid_complex, grid_vertex
+from ditop.equivcheck import identity_dmap
 from ditop.fixtures import PV_SOURCES
 from ditop.natsys import build_natural_system
 
@@ -230,6 +231,18 @@ def test_json_only_goes_after_the_subcommand(pv1_file, capsys):
 def test_exact_flag_removed(pv1_file, capsys):
     # exact is the default mode; only --upper selects the other
     assert run(["ditc", "--pv", pv1_file, "--exact"]) == 1
+
+
+def test_depth_flag_removed(tmp_path, capsys, seg):
+    # the equivalence search is exact over class pairs: no depth to set
+    x = tmp_path / "x.json"
+    x.write_text(seg.to_json())
+    i = tmp_path / "i.json"
+    i.write_text(identity_dmap(seg).to_json())
+    argv = ["equiv", str(x), str(x), "--f", str(i), "--g", str(i)]
+    assert run(argv + ["--depth", "2"]) == 1
+    assert run(argv) == 0
+    assert _last_json(capsys)["result"] == {"strong": False, "verdict": True}
 
 
 def test_run_sets_no_environment(monkeypatch, pv1_file, capsys):

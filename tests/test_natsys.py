@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ditop.cubecore import PrecubicalSet, gamma
+from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma
 from ditop.errors import BudgetExceeded
 from ditop.fixtures import get_fixture
 from ditop.natsys import (
@@ -131,6 +131,7 @@ def _check_against_oracle(x, y):
 
 @settings(max_examples=150, deadline=None)
 @given(MODELS, MODELS)
+@example(PrecubicalSet(0, []), build_grid_complex((1,)))
 def test_bisimilar_matches_the_definition(x, y):
     _check_against_oracle(x, y)
 

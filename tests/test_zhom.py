@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ditop import zhom
 from ditop.cubecore import PrecubicalSet, build_grid_complex
@@ -110,6 +110,7 @@ def parallel_edge_models(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(grid_models(), dag_models(), parallel_edge_models()))
+@example(PrecubicalSet(0, []))
 def test_homology_matches_dense_oracle(x):
     assert homology_ranks(x) == homology_dense(x)
 
