@@ -15,6 +15,13 @@ alpha and beta, so the search for a matching arrow runs over class
 pairs, in class order, and is exact: a refusal names a diagram that no
 arrow makes commute.
 
+One-class pairs only fix classes: an arrow into one sends every class
+to 0, so it commutes with any class bijections.  Stage 1 checks such a
+pair by its image's count; families A and D skip own arrows into one,
+whose image pairs a dmap keeps reachable; a lifting obligation into one
+holds when some preimage extends its source; stage 3 skips pairs that
+fold into one; and only arrows into multi-class pairs get an action.
+
 Every condition is symmetric in the two maps.  Diagram families A and D
 are one check with the roles of (x, f, F) and (y, g, G) swapped, and so
 are families B and C, strong conditions (a) and (b), and strong
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from .cubecore import DPath, PrecubicalSet, gamma, json_int
 from .errors import ModelError
 from .traceclass import (
-    ExtensionArrow, _table, class_pair_action, elementary_actions, trace_classes)
+    ExtensionArrow, _table, class_pair_action, core_actions, trace_classes)
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,8 @@ def induced_class_map(x, y, f, a, b, cap=None):
 class EquivalenceCertificate:
     """Accepted equivalence data: the dmaps, the inverse class bijections
     F (indexed by source pairs) and G (indexed by target pairs), and the
-    matching arrow found for every checked diagram."""
+    matching arrow found for every diagram into a pair with two or more
+    classes; into a one-class pair every arrow matches, and none is kept."""
 
     x: PrecubicalSet
     y: PrecubicalSet
@@ -254,27 +262,31 @@ class EquivFailure:
 _Side = namedtuple("_Side", "own other m fwd inv")
 
 
-def _connection_commutes(w, h, forward, cap):
+def _connection_commutes(w, h, forward):
     """Do the first dipaths w_v from each v to h(v) (forward) or back
     commute with h on every class representative p at every pair (a, b)?
     Forward, p * w_b against w_a * h(p), both a -> h(b); backward,
     h(p) * w_b against w_a * p, both h(a) -> b.  Both sides are folds
-    over the class table of their start.  Only the first connecting
-    dipaths are tried, so a refusal is conservative on models where
-    some class set has more than one class."""
+    over the class table of their start, and a pair whose folds land in
+    a one-class pair is skipped.  Every pair of w must be traced.  Only
+    the first connecting dipaths are tried, so a refusal is conservative
+    on models where some class set has more than one class."""
     vm, pairs = h.vertex_map, gamma(w)
     ends = [(v, vm[v]) if forward else (vm[v], v) for v in range(w.n_vertices)]
     if not all(end in pairs for end in ends):
         return False
     # the first dipath of a pair is the least member of its class 0, so
     # in the table of a's side class 0 at the other end of w_a is [w_a]
-    conn = [trace_classes(w, s, t, cap=cap).representatives[0].edges for s, t in ends]
+    conn = [_table(w, s).representatives(w, t)[0].edges for s, t in ends]
     for a, b in pairs:
-        fold = _table(w, a if forward else vm[a]).fold
-        for rep in trace_classes(w, a, b, cap=cap).representatives:
+        start, end = (a, vm[b]) if forward else (vm[a], b)
+        table = _table(w, start)
+        if table.count[end] == 1:
+            continue
+        for rep in _table(w, a).representatives(w, b):
             hp = map_path(h, rep).edges
             p, q = (rep.edges, hp) if forward else (hp, rep.edges)
-            if fold(fold(0, p), conn[b]) != fold(0, q):
+            if table.fold(table.fold(0, p), conn[b]) != table.fold(0, q):
                 return False
     return True
 
@@ -283,18 +295,20 @@ def _stages_1_to_3(x, y, f, g, cap):
     """Stages 1-3 of both checks: dmap validation, class bijections of f
     then g, homotopies of g*f then f*g to the identities.  Returns
     (None, (f side, g side)) or (EquivFailure, None).  Every pair of both
-    models is traced within ``cap`` once stage 1 has passed."""
+    models is traced within ``cap`` once stage 1 has passed, so the later
+    stages, strong conditions (a)-(d) included, read the tables only."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
             raise ModelError(f"invalid dmap {name}: {bad[0]}")
     sides = []
     for name, own, other, m in (("f", x, y, f), ("g", y, x, g)):
-        fwd, inv = {}, {}
+        vm, fwd, inv = m.vertex_map, {}, {}
         for a, b in gamma(own):
-            img = induced_class_map(own, other, m, a, b, cap=cap)
-            n_target = trace_classes(
-                other, m.vertex_map[a], m.vertex_map[b], cap=cap).count
+            # a one-class pair maps bijectively exactly when its image has one class
+            img = (induced_class_map(own, other, m, a, b, cap=cap)
+                   if trace_classes(own, a, b, cap=cap).count > 1 else (0,))
+            n_target = trace_classes(other, vm[a], vm[b], cap=cap).count
             if len(set(img)) != len(img) or len(img) != n_target:
                 return EquivFailure(
                     f"{name}-class-bijection", (a, b),
@@ -310,7 +324,7 @@ def _stages_1_to_3(x, y, f, g, cap):
         # joined to it by connecting dipaths that commute with extension
         h = compose_dmaps(first, then)
         if any(h.vertex_map[v] != v for v in range(w.n_vertices)) and not any(
-                _connection_commutes(w, h, forward, cap) for forward in (True, False)):
+                _connection_commutes(w, h, forward) for forward in (True, False)):
             return EquivFailure(
                 stage, (), f"{name} admits no directed homotopy to id"), None
     return None, tuple(sides)
@@ -322,11 +336,6 @@ def _commutes(side, src, tgt, act_own, act_other):
     too, being the inverse of a bijection on both pairs."""
     return (tuple(map(side.fwd[tgt].__getitem__, act_own))
             == tuple(map(act_other.__getitem__, side.fwd[src])))
-
-
-def _elementary(w, pair, cap):
-    """(edge, (target, action)) of each elementary arrow of w out of ``pair``."""
-    return zip(w.in_edges(pair[0]) + w.out_edges(pair[1]), elementary_actions(w, pair, cap))
 
 
 def _edge_classes(w, pair, e):
@@ -355,13 +364,15 @@ def _first_match(w, src, targets, commutes):
     return None
 
 
-def _forward_family(label, side, cap, matches):
+def _forward_family(label, side, matches):
     """Family A on the f side, D on the g side: each elementary arrow of
-    the own model needs a commuting arrow between the image pairs.
-    Returns an EquivFailure or None and fills ``matches``."""
+    the own model into a multi-class pair needs a commuting arrow between
+    the image pairs.  Returns an EquivFailure or None; fills ``matches``."""
     own, other, mv = side.own, side.other, side.m.vertex_map
     for a, b in gamma(own):
-        for (a2, b2), act_own in elementary_actions(own, (a, b), cap):
+        for _, (a2, b2), act_own in core_actions(own, (a, b)):
+            if act_own is None:
+                continue
             hit = _first_match(
                 other, (mv[a], mv[b]), [(mv[a2], mv[b2])],
                 lambda _, act: _commutes(side, (a, b), (a2, b2), act_own, act))
@@ -373,11 +384,12 @@ def _forward_family(label, side, cap, matches):
     return None
 
 
-def _lifting_obligations(side, cap):
+def _lifting_obligations(side):
     """Per pair (c, d) of the own model, each elementary arrow of the
     other model from its image into an image pair, as its class pair,
     target and action, with the preimages of that pair that extend
-    (c, d).  Other arrows carry no obligation."""
+    (c, d).  Other arrows carry no obligation, nor does an arrow into a
+    one-class pair with a preimage; without one its action is None."""
     own, other, mv = side.own, side.other, side.m.vertex_map
     pairs = gamma(own)
     image = {}
@@ -389,19 +401,20 @@ def _lifting_obligations(side, cap):
         if src not in arrows:
             arrows[src] = [
                 (_edge_classes(other, src, e), target, action)
-                for e, (target, action) in _elementary(other, src, cap)
+                for e, target, action in core_actions(other, src)
                 if target in image]
         for kl, target, action in arrows[src]:
-            yield (c, d), kl, target, action, [
-                (c2, d2) for c2, d2 in image[target]
-                if (c2, c) in pairs and (d, d2) in pairs]
+            pre = [(c2, d2) for c2, d2 in image[target]
+                   if (c2, c) in pairs and (d, d2) in pairs]
+            if action is not None or not pre:
+                yield (c, d), kl, target, action, pre
 
 
-def _lifting_family(label, side, cap, matches):
+def _lifting_family(label, side, matches):
     """Family B on the g side, C on the f side: each lifting obligation
     needs a commuting arrow of the own model into some preimage.  Returns
     an EquivFailure or None and fills ``matches``."""
-    for src, _, target, act_other, pre in _lifting_obligations(side, cap):
+    for src, _, target, act_other, pre in _lifting_obligations(side):
         found = _first_match(
             side.own, src, pre,
             lambda tgt, act: _commutes(side, src, tgt, act, act_other))
@@ -433,21 +446,23 @@ def check_dihomotopy_equivalence(x, y, f, g, cap=None):
         ("C", _lifting_family, f_side),
         ("D", _forward_family, g_side),
     ):
-        failure = family(label, side, cap, matches)
+        failure = family(label, side, matches)
         if failure is not None:
             return False, failure
     return True, EquivalenceCertificate(
         x, y, f, g, f_side.inv, g_side.inv, matches)
 
 
-def _strong_push(side, cap):
+def _strong_push(side, cap=None):
     """Strong condition (a) on the f side, (b) on the g side: each
-    elementary arrow of the own model commutes with its image arrow,
-    the elementary arrow of the image edge, or the identity when the
-    edge collapses."""
+    elementary arrow of the own model into a multi-class pair commutes
+    with its image arrow, the elementary arrow of the image edge, or the
+    identity when the edge collapses."""
     own, other, m, mv = side.own, side.other, side.m, side.m.vertex_map
     for a, b in gamma(own):
-        for e, ((a2, b2), act_own) in _elementary(own, (a, b), cap):
+        for e, (a2, b2), act_own in core_actions(own, (a, b)):
+            if act_own is None:
+                continue
             src, tgt = (mv[a], mv[b]), (mv[a2], mv[b2])
             tag, j = m.edge_map[e]
             k, l = _edge_classes(other, src, j) if tag == "e" else (0, 0)
@@ -457,12 +472,12 @@ def _strong_push(side, cap):
     return True
 
 
-def _strong_lift(side, cap):
+def _strong_lift(side, cap=None):
     """Strong condition (c) on the f side, (d) on the g side: each lifting
     obligation commutes, for some preimage, with the own arrow whose
     prefix and suffix classes are the inverse images of its own."""
     own, inv = side.own, side.inv
-    for (a, b), (k, l), _, act_other, pre in _lifting_obligations(side, cap):
+    for (a, b), (k, l), _, act_other, pre in _lifting_obligations(side):
         if not any(
             _commutes(side, (a, b), (a2, b2), class_pair_action(
                 own, (a, b), (a2, b2), inv[(a2, a)][k], inv[(b, b2)][l]), act_other)
@@ -482,8 +497,8 @@ def check_strong(x, y, f, g, cap=None) -> bool:
     if failure is not None:
         return False
     f_side, g_side = sides
-    return (_strong_push(f_side, cap) and _strong_push(g_side, cap)
-            and _strong_lift(f_side, cap) and _strong_lift(g_side, cap))
+    return (_strong_push(f_side) and _strong_push(g_side)
+            and _strong_lift(f_side) and _strong_lift(g_side))
 
 
 def compose_equivalences(e1: EquivalenceCertificate, e2: EquivalenceCertificate):

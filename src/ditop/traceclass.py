@@ -23,10 +23,8 @@ class work, and defaults to ``cubecore.DEFAULT_PATH_CAP``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .cubecore import (
-    DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, descendants, enumerate_dpaths)
+from .cubecore import DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, descendants
 from .errors import ModelError, PathCapExceeded
 
 
@@ -189,14 +187,6 @@ class ClassSet:
         a, b = self.pair
         return _table(self._x, a).representatives(self._x, b)
 
-    @cached_property
-    def membership(self) -> dict:
-        """Every dipath of the pair (edge tuple) -> class id; enumerates."""
-        (a, b), x = self.pair, self._x
-        t = _table(x, a)
-        paths = enumerate_dpaths(x, a, b, cap=t.paths[b])
-        return {p.edges: t.fold(0, p.edges) for p in paths}
-
 
 @dataclass(frozen=True)
 class ExtensionArrow:
@@ -297,6 +287,21 @@ def elementary_actions(x: PrecubicalSet, pair, cap=None):
         t = x.edges[e][1]
         trace_classes(x, a, t, cap=cap)
         yield (a, t), inner.ext[e]
+
+
+def core_actions(x: PrecubicalSet, pair):
+    """(edge, target, action) of each elementary arrow out of a traced
+    pair, as ``elementary_actions`` gives them, but with the action None,
+    computing nothing, for an arrow into a one-class pair."""
+    a, b = pair
+    inner = _table(x, a)
+    for e in x.in_edges(a):
+        s = x.edges[e][0]
+        outer = _table(x, s)
+        yield e, (s, b), inner.prefix(x, outer, outer.ext[e][0], b) if outer.count[b] > 1 else None
+    for e in x.out_edges(b):
+        t = x.edges[e][1]
+        yield e, (a, t), inner.ext[e] if inner.count[t] > 1 else None
 
 
 def class_pair_action(x: PrecubicalSet, source, target, k, l) -> tuple:

@@ -285,6 +285,35 @@ def _map_edges(m, p):
     return tuple(i for tag, i in (m.edge_map[e] for e in p) if tag == "e")
 
 
+def connection_commutes_by_paths(x, maps, forward, classes=None):
+    """Stage 3 of ``equiv_by_paths``, for the composite h of ``maps``
+    (dmaps x -> ... -> x, applied in order): do dipaths w_v from each v
+    to h(v) (forward) or from h(v) to v (backward) exist, and do the
+    first of them give [p.w_b] = [w_a.h(p)] forward, [h(p).w_b] = [w_a.p]
+    backward, for every dipath p: a -> b?  ``classes`` is a
+    ``_PathClasses`` of x to reuse."""
+    w = classes or _PathClasses(x)
+    hv = list(range(x.n_vertices))
+    for m in maps:
+        hv = [m.vertex_map[v] for v in hv]
+    ends = [(v, hv[v]) if forward else (hv[v], v) for v in range(x.n_vertices)]
+    if not all(end in w.pair_set for end in ends):
+        return False
+    # the first connecting dipath in (target vertex, edge) order
+    conn = [min(w.paths(s, t), key=lambda p: [(x.edges[e][1], e) for e in p])
+            for s, t in ends]
+    for a, b in w.pairs:
+        start, end = (a, hv[b]) if forward else (hv[a], b)
+        for p0 in w.paths(a, b):
+            hp = p0
+            for m in maps:
+                hp = _map_edges(m, hp)
+            p, q = (p0, hp) if forward else (hp, p0)
+            if w.cls(start, end, p + conn[b]) != w.cls(start, end, conn[a] + q):
+                return False
+    return True
+
+
 def equiv_by_paths(x, y, f, g):
     """Dihomotopy equivalence of valid dmaps f: x -> y and g: y -> x from
     the definition, with every pair of dipaths tried as an arrow:
@@ -311,25 +340,9 @@ def equiv_by_paths(x, y, f, g):
 
     for stage, w, first, then in (("gf-homotopy", X, f, g), ("fg-homotopy", Y, g, f)):
         hv = [then.vertex_map[first.vertex_map[v]] for v in range(w.x.n_vertices)]
-        if hv == list(range(w.x.n_vertices)):
-            continue
-        for forward in (True, False):
-            ends = [(v, hv[v]) if forward else (hv[v], v) for v in range(w.x.n_vertices)]
-            if not all(end in w.pair_set for end in ends):
-                continue
-            # the first connecting dipath in (target vertex, edge) order
-            conn = [min(w.paths(s, t), key=lambda p: [(w.x.edges[e][1], e) for e in p])
-                    for s, t in ends]
-            if all(
-                w.cls(start, end, p + conn[b]) == w.cls(start, end, conn[a] + q)
-                for a, b in w.pairs
-                for p0 in w.paths(a, b)
-                for hp in [_map_edges(then, _map_edges(first, p0))]
-                for p, q in [(p0, hp) if forward else (hp, p0)]
-                for start, end in [(a, hv[b]) if forward else (hv[a], b)]
-            ):
-                break
-        else:
+        if hv != list(range(w.x.n_vertices)) and not any(
+                connection_commutes_by_paths(w.x, [first, then], forward, w)
+                for forward in (True, False)):
             return False, (stage, ())
 
     def commutes(fwd, inv, src, tgt, act_own, act_other):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ditop import equivcheck
-from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex
+from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex, gamma
 from ditop.equivcheck import (
     DMapData,
     EquivFailure,
@@ -24,10 +24,12 @@ from ditop.equivcheck import (
 from ditop.errors import ModelError
 from ditop.fixtures import get_fixture, matchbox_maps, sf_hs_maps
 from ditop.natsys import bisimilar, build_natural_system
-from ditop.traceclass import class_of
+from ditop.traceclass import class_of, trace_classes
 
 from conftest import dag_models, grid_models
-from oracles import equiv_by_paths, relabel_complex
+from oracles import (
+    closure_pairs, connection_commutes_by_paths, equiv_by_paths, flip_class_count,
+    relabel_complex)
 
 
 def test_identity_validates(any_fixture):
@@ -324,6 +326,58 @@ def test_equivalence_matches_the_path_oracle(cert):
     ok, res = check_dihomotopy_equivalence(x, y, f, g)
     assert (ok, None if ok else (res.stage, res.location)) == equiv_by_paths(x, y, f, g)
     assert ok or not check_strong(x, y, f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EQUIV_MODELS, st.randoms(use_true_random=False))
+def test_connection_commutes_matches_the_path_oracle(x, rng):
+    # stage 3 alone, on a random self-dmap h, against every dipath
+    h = _random_dmap(rng, x, x)
+    assume(h is not None)
+    for a, b in gamma(x):
+        trace_classes(x, a, b)
+    for forward in (True, False):
+        assert equivcheck._connection_commutes(x, h, forward) == \
+            connection_commutes_by_paths(x, [h], forward)
+
+
+def test_connection_commutes_pinned(matchbox):
+    # h sends every vertex to the top 7: forward, w_v runs v -> 7 and
+    # every pair (a, 7) has one class; backward, nothing runs 7 -> 0
+    h = dmap_from_vertex_map(matchbox, matchbox, [7] * matchbox.n_vertices)
+    for a, b in gamma(matchbox):
+        trace_classes(matchbox, a, b)
+    for forward, want in ((True, True), (False, False)):
+        assert equivcheck._connection_commutes(matchbox, h, forward) is want
+        assert connection_commutes_by_paths(matchbox, [h], forward) is want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("relabel", [False, True], ids=["identity", "relabelled"])
+def test_certificate_keeps_the_multi_class_diagrams(n, relabel):
+    # the one-hole n x n grid: a matching arrow is kept for exactly the
+    # diagrams into a pair of two or more classes, by the flip closure
+    x = build_grid_complex((n, n), [((1, n - 1), (1, n - 1))])
+    if relabel:
+        perm = list(range(x.n_vertices))
+        random.Random(n).shuffle(perm)
+        y, f, g = relabel_complex(x, perm)
+    else:
+        y, f, g = x, identity_dmap(x), identity_dmap(x)
+    ok, cert = check_dihomotopy_equivalence(x, y, f, g)
+    assert ok, cert
+
+    def multi_targets(w, a, b):
+        return {t for t in [(s, b) for s, e in w.edges if e == a]
+                + [(a, e) for s, e in w.edges if s == b] if flip_class_count(w, *t) > 1}
+
+    same = range(x.n_vertices)
+    want = {(label, (a, b), t)
+            for label, own, other, vm in (("A", x, x, same), ("B", y, x, g.vertex_map),
+                                          ("C", x, y, f.vertex_map), ("D", y, y, same))
+            for a, b in closure_pairs(own) for t in multi_targets(other, vm[a], vm[b])}
+    assert set(cert.matches) == want
+    assert any(key[0] == "B" for key in want)
 
 
 def test_strong_lift_failure_pinned():

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ditop import cubecore, traceclass
-from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex, gamma, grid_vertex
+from ditop import cubecore
+from ditop.cubecore import (
+    DPath, PrecubicalSet, build_grid_complex, enumerate_dpaths, gamma, grid_vertex)
 from ditop.errors import ModelError, PathCapExceeded
 from ditop.traceclass import (
     arrow_action,
@@ -61,16 +62,17 @@ def test_representatives_are_lex_least(pv1):
     def vkey(edges):
         return tuple(pv1.edges[e][1] for e in edges)
 
-    cs = trace_classes(pv1, 0, pv1.n_vertices - 1)
+    top = pv1.n_vertices - 1
+    cs = trace_classes(pv1, 0, top)
     for i, rep in enumerate(cs.representatives):
-        members = [p for p, c in cs.membership.items() if c == i]
+        members = [p.edges for p in enumerate_dpaths(pv1, 0, top) if class_of(pv1, p) == i]
         assert vkey(rep.edges) == min(vkey(m) for m in members)
 
 
 def test_class_of_consistent(pv1):
-    cs = trace_classes(pv1, 0, pv1.n_vertices - 1)
-    for edges, cid in cs.membership.items():
-        assert class_of(pv1, DPath(0, edges)) == cid
+    for cid, component in enumerate(flip_classes(pv1, 0, pv1.n_vertices - 1)):
+        for edges in component:
+            assert class_of(pv1, DPath(0, edges)) == cid
 
 
 def test_class_of_rejects_foreign_path(pv1):
@@ -143,7 +145,6 @@ def test_classes_match_the_flip_oracle(x):
         for cid, component in enumerate(want):
             for edges in component:
                 assert class_of(x, DPath(a, edges)) == cid
-        assert cs.membership == {p: cid for cid, c in enumerate(want) for p in c}
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,7 +173,6 @@ def test_cap_refuses_exactly_above_the_path_count(x, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cubecore, "enumerate_dpaths", no_enumeration)
-        mp.setattr(traceclass, "enumerate_dpaths", no_enumeration)
         for a, b in gamma(x):
             if path_count_dp(x, a, b) > k:
                 with pytest.raises(PathCapExceeded) as exc:
