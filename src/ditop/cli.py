@@ -128,8 +128,8 @@ def _cmd_bisim(args):
     b = _load_model(*args.models[1])
     verdict, detail = bisimilar(build_natural_system(a), build_natural_system(b))
     if verdict:
-        result = {"bisimilar": True, "relation_size": len(detail.triples)}
-        text = f"bisimilar ({len(detail.triples)} triples)"
+        result = {"bisimilar": True, "relation_size": detail.size}
+        text = f"bisimilar ({detail.size} triples)"
     else:
         result = {
             "bisimilar": False,

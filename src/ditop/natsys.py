@@ -4,22 +4,52 @@ The natural class system of a complex assigns to every reachable pair
 its set of dihomotopy classes and records how elementary extensions act
 on class ids.  Two systems are bisimilar when a relation of object
 triples with value bijections transfers every elementary extension in
-both directions with commuting squares.
+both directions with commuting squares: an arrow of one object is
+matched by an arrow of the other, or by the other staying put with the
+identity.
 
-The decision procedure is a greatest fixed point over candidates: every
-pair of objects with the same colour under a joint partition refinement
-that ignores actions, with every bijection of their classes (one shared
-set per class count).  A worklist checks only the hot pairs, where an
-object or one of its arrow targets has two or more classes; a stable
-colouring already guarantees every other pair.  An arrow into a
-one-class object is matched by a set test on live partners.  When a
-pair loses bijections, only the pairs whose moves reach it are checked
-again, found through reverse-arrow indexes on both sides.
+``bisimilar`` decides this on the disjoint union S + T.  A bisimulation
+of S + T with itself restricted to S x T is a bisimulation between S
+and T, and one between S and T is one of S + T, so the greatest
+bisimulation between S and T is the restriction of the greatest one on
+S + T.  That one is a groupoid: the identities form a bisimulation,
+bisimulations compose (an arrow matched by staying put stays put again
+on the far side) and invert, so the greatest one holds all of them.  It
+is therefore an equivalence on objects, each block has a representative
+r with a group Aut(r) of class bijections, each member u has one
+bijection phi_u from its classes to r's, and the bijections between
+members u and v are exactly phi_v^-1 . Aut(r) . phi_u.  It is computed
+in that form, never as a table of object pairs:
+
+* The first blocks are the colours of a partition refinement that
+  ignores actions (``_refinement_colors``), each with the full symmetric
+  group; every bisimilar pair has one colour.
+* Checking a block keeps those bijections of each member that transfer
+  every arrow against the current groupoid.  The result is again a
+  groupoid (the same composition argument), so it is again blocks with
+  groups; a block is checked again only when a block its members' moves
+  reach has changed.
+* A block with objects on one side only becomes singletons with the
+  identity group.  This is exact.  In the greatest bisimulation, an
+  object with a partner on the other side has each arrow matched by a
+  move of that partner, which stays on the other side, so its arrow
+  targets have partners too.  The pairs of its blocks with both sides,
+  plus the identities, therefore form a bisimulation; it lies below
+  every groupoid the refinement passes through, splits included, so the
+  restriction to S x T comes out unchanged.  The split objects are
+  uncovered anyway, and no group is built for them, so the bijection
+  cap only refuses objects with a same-colour partner.
+
+The relation's size is the sum over blocks of |B & S| * |B & T|; its
+triples are listed only when read.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
@@ -45,9 +75,16 @@ class NaturalClassSystem:
 
 @dataclass(frozen=True)
 class BisimRelation:
-    """Triples (object of S, class bijection, object of T)."""
+    """The greatest bisimulation between S and T: ``size`` object pairs,
+    and ``triples`` (object of S, class bijection, object of T) in pair
+    order with the least bijection of each pair, built when first read."""
 
-    triples: tuple
+    size: int
+    _build: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def triples(self):
+        return self._build()
 
 
 @dataclass(frozen=True)
@@ -79,29 +116,67 @@ def trivial_system() -> NaturalClassSystem:
     return NaturalClassSystem((("*", "*"),), (1,), ((),))
 
 
-def _refinement_colors(systems):
+def _refinement_colors(counts, arrows):
     """Joint partition refinement ignoring actions: a sound pre-filter.
 
-    Objects that end up with different colors cannot be bisimilar; the
-    converse is settled by the exact fixed point afterwards.  The object
-    itself counts among its successors: arrows may be matched by staying
-    put, so refinement must run on the reflexive closure to stay sound.
-    The colouring returned is stable: same-coloured objects have equal
-    reflexive successor colour sets, which ``bisimilar`` relies on.
+    Takes the class counts and arrows of one system (two systems side by
+    side are one system) and returns its colour classes, each a sorted
+    list of objects.  Objects of different colours cannot be bisimilar;
+    the converse is settled by the exact refinement afterwards.  The
+    object itself counts among its successors: arrows may be matched by
+    staying put, so refinement must run on the reflexive closure to stay
+    sound.  The colouring is the coarsest stable one below the class
+    counts: same-coloured objects have equal reflexive successor colour
+    sets, which ``bisimilar`` relies on.
+
+    Each class is used as a splitter once after it is made or shrinks:
+    every other class splits into its objects with an arrow into the
+    splitter and the rest.  A class's own objects reach it by staying
+    put, so it never splits itself.  Only the classes a split touches
+    are visited again, where rounds over every object would take as many
+    rounds as the longest chain of splits.
     """
-    all_objs = [(si, oi) for si, s in enumerate(systems) for oi in range(s.n_objects)]
-    color = {(si, oi): systems[si].counts[oi] for si, oi in all_objs}
-    while True:
-        palette = {}
-        nxt = {}
-        for si, oi in all_objs:
-            succ = frozenset(color[(si, ti)] for ti, _ in systems[si].arrows[oi])
-            succ |= {color[(si, oi)]}
-            key = (color[(si, oi)], succ)
-            nxt[(si, oi)] = palette.setdefault(key, len(palette))
-        if len(set(nxt.values())) == len(set(color.values())):
-            return nxt
-        color = nxt
+    preds = [[] for _ in counts]
+    for u, arr in enumerate(arrows):
+        for v, _ in arr:
+            preds[v].append(u)
+    by_count = {}
+    for u, k in enumerate(counts):
+        by_count.setdefault(k, []).append(u)
+    classes = list(by_count.values())
+    color = [0] * len(counts)
+    for c, members in enumerate(classes):
+        for u in members:
+            color[u] = c
+    queue = list(range(len(classes)))
+    queued = [True] * len(classes)
+    while queue:
+        c = queue.pop()
+        queued[c] = False
+        hit = {}
+        for v in classes[c]:
+            for u in preds[v]:
+                if color[u] != c:
+                    hit.setdefault(color[u], set()).add(u)
+        for b, marked in hit.items():
+            if len(marked) == len(classes[b]):
+                continue
+            nb = len(classes)
+            classes.append([u for u in classes[b] if u in marked])
+            classes[b] = [u for u in classes[b] if u not in marked]
+            for u in classes[nb]:
+                color[u] = nb
+            queue.append(nb)
+            queued.append(True)
+            if not queued[b]:
+                queued[b] = True
+                queue.append(b)
+    return classes
+
+
+@functools.cache
+def _symmetric(k):
+    return frozenset(itertools.permutations(range(k)))
 
 
 def _bijections(k):
@@ -109,149 +184,225 @@ def _bijections(k):
         raise BudgetExceeded(
             f"class set of size {k} exceeds the bijection cap {BIJECTION_CAP}"
         )
-    return frozenset(itertools.permutations(range(k)))
+    return _symmetric(k)
 
 
-class _Side:
-    """Per-object tables of one system for the fixed point: its moves
-    (every arrow, plus staying put with the identity), the objects those
-    moves reach, the objects whose moves reach it, and its arrows split
-    by whether the target has one class or more."""
+def _compose(p, q):
+    """p . q on class ids: ``q`` first, then ``p``."""
+    return tuple([p[c] for c in q])
 
-    def __init__(self, system: NaturalClassSystem):
-        counts = system.counts
-        self.moves = [
-            arrows + ((o, tuple(range(counts[o]))),)
-            for o, arrows in enumerate(system.arrows)
-        ]
-        self.reach = [frozenset(o for o, _ in moves) for moves in self.moves]
-        self.back = [set() for _ in counts]
-        for o, reach in enumerate(self.reach):
-            for target in reach:
-                self.back[target].add(o)
-        self.one = [[o for o, _ in arrows if counts[o] == 1] for arrows in system.arrows]
-        self.many = [[(o, act) for o, act in arrows if counts[o] > 1]
-                     for arrows in system.arrows]
-        self.hot = [counts[o] > 1 or bool(many) for o, many in enumerate(self.many)]
-        self.partners = [set() for _ in counts]  # live partners on the other side
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for c, d in enumerate(p):
+        inv[d] = c
+    return tuple(inv)
 
 
 def bisimilar(s: NaturalClassSystem, t: NaturalClassSystem):
     """Decide bisimilarity; returns (verdict, BisimRelation or
     BisimCounterexample).
 
-    The relation is the greatest fixed point below the candidates, every
-    same-colour object pair with every bijection of its classes, found
-    with a worklist: a pair is checked when it may fail and checked again
-    only when a pair its moves reach has lost a bijection.
+    The greatest bisimulation on S + T is refined as a groupoid of blocks
+    (see the module docstring), with a worklist: a block is checked when
+    it may fail, and checked again only when a block that its members'
+    moves reach has changed.
     """
-    color = _refinement_colors([s, t])
-    left, right = _Side(s), _Side(t)
+    n_s = s.n_objects
+    counts = s.counts + t.counts
+    arrows = s.arrows + tuple(
+        tuple((n_s + o, act) for o, act in arr) for arr in t.arrows)
+    n = len(counts)
+    phi = [tuple(range(k)) for k in counts]
 
-    # candidates per same-colour object pair (colours refine class counts),
-    # sharing one bijection set per class count
-    cands = {}
-    bijections = {}
-    by_color_t = {}
-    for oj in range(t.n_objects):
-        by_color_t.setdefault(color[(1, oj)], []).append(oj)
-    for oi in range(s.n_objects):
-        k = s.counts[oi]
-        for oj in by_color_t.get(color[(0, oi)], ()):
-            bijs = bijections.get(k)
-            if bijs is None:
-                bijs = bijections[k] = _bijections(k)
-            cands[(oi, oj)] = bijs
-            left.partners[oi].add(oj)
-            right.partners[oj].add(oi)
+    # the colours with objects on both sides are the first blocks; every
+    # other object is a singleton with the identity group
+    block = [0] * n
+    members = []
+    aut = []
+    for group in _refinement_colors(counts, arrows):
+        for part in [group] if group[0] < n_s <= group[-1] else [[u] for u in group]:
+            for u in part:
+                block[u] = len(members)
+            members.append(part)
+            aut.append(frozenset((phi[part[0]],)) if len(part) == 1 else None)
+    # full groups in left object order: the cap is hit at the first left
+    # object with a same-colour object on the right
+    for u in range(n_s):
+        if aut[block[u]] is None:
+            aut[block[u]] = _bijections(counts[u])
 
+    # A block needs checking when its objects or their arrow targets have
+    # two or more classes.  Any other block is stable: _refinement_colors
+    # returns a stable colouring, so its members have equal reflexive
+    # successor colour sets, every arrow of one meets a same-coloured move
+    # of another, and with one class on every side any bijection commutes.
+    # (Those colours have both sides too, as members on both sides reach
+    # them, so none was split into singletons.)  These are colour
+    # properties, so the first member decides.
+    queue = [
+        b for b, m in enumerate(members)
+        if len(m) > 1 and (counts[m[0]] > 1 or any(counts[v] > 1 for v, _ in arrows[m[0]]))
+    ]
+    if queue:
+        _refine(queue, n_s, counts, arrows, block, members, aut, phi)
+
+    for side, system, offset in (("left", s, 0), ("right", t, n_s)):
+        missing = [o for o in range(system.n_objects)
+                   if len(members[block[offset + o]]) == 1]
+        if missing:
+            o = min(missing, key=lambda o: (len(system.arrows[o]), system.objects[o]))
+            return False, BisimCounterexample(side, system.objects[o])
+    blocks = [(m, bisect.bisect_left(m, n_s), aut[b])
+              for b, m in enumerate(members) if len(m) > 1]
+
+    def triples():
+        out = []
+        for m, split, group in blocks:
+            invs = [(v, _inverse(phi[v])) for v in m[split:]]
+            for u in m[:split]:
+                coset = [_compose(g, phi[u]) for g in group]
+                for v, inv in invs:
+                    out.append((u, v, min(_compose(inv, c) for c in coset)))
+        out.sort()
+        return tuple((s.objects[u], bij, t.objects[v - n_s]) for u, v, bij in out)
+
+    size = sum(split * (len(m) - split) for m, split, _ in blocks)
+    return True, BisimRelation(size, triples)
+
+
+def _refine(queue, n_s, counts, arrows, block, members, aut, phi):
+    """Refine the groupoid (block, members, aut, phi) in place to the
+    greatest bisimulation below it, checking the blocks in ``queue`` and
+    then every block that a change may affect.
+
+    A block's first member r is its representative, with phi[r] the
+    identity.  A member u passes with the bijections b in aut . phi[u]
+    that transfer every arrow of u against the moves of r and every arrow
+    of r against the moves of u.  Those form a coset of the new group,
+    which is what r keeps for itself, and phi[u] becomes its least
+    element.  The members that keep nothing are checked in the same way
+    against the first of them, and so on.  A part with objects on one
+    side only becomes singletons.
+    """
+    many = [[(v, act) for v, act in arr if counts[v] > 1] for arr in arrows]
+    one = [[v for v, _ in arr if counts[v] == 1] for arr in arrows]
+    back = [{u} for u in range(len(counts))]
+    for u, arr in enumerate(arrows):
+        for v, _ in arr:
+            back[v].add(u)
+    groups = {}  # one object per distinct group keeps the memo keys cheap
     commuting = {}
+    cosets = {}
 
-    def transfers(live, act, act2):
-        """The bijections bij with bij2 . act == act2 . bij for some bij2
-        in ``live``, memoised on the values."""
-        key = (live, act, act2)
+    def transfers(group, act, act2):
+        """The bijections b with g . act == act2 . b for some g in
+        ``group``, memoised on the values."""
+        key = (group, act, act2)
         good = commuting.get(key)
         if good is None:
-            images = {tuple([bij2[a] for a in act]) for bij2 in live}
+            images = {_compose(g, act) for g in group}
             good = commuting[key] = frozenset(
-                bij for bij in bijections[len(act)]
-                if tuple([act2[b] for b in bij]) in images)
+                b for b in _symmetric(len(act)) if _compose(act2, b) in images)
         return good
 
-    def matched(moves):
-        """The bijections that transfer one arrow through some of its
-        candidate moves, given as (pair, act, act2)."""
-        good = set()
-        for pair, act, act2 in moves:
-            live = cands.get(pair)
-            if live:
-                good |= transfers(live, act, act2)
-        return good
+    def moves(u):
+        """u's moves as read from the blocks: the blocks of the one-class
+        objects they reach, its arrows into multi-class objects as (block,
+        phi . act), and its moves into multi-class objects by block."""
+        ones = {block[v] for v in one[u]}
+        out = [(block[v], _compose(phi[v], act)) for v, act in many[u]]
+        by_block = {}
+        if counts[u] > 1:
+            by_block[block[u]] = [phi[u]]
+        else:
+            ones.add(block[u])
+        for b, act in out:
+            by_block.setdefault(b, []).append(act)
+        return ones, out, by_block
 
-    def surviving(oi, oj, bijs):
-        """The bijections of (oi, oj) that transfer every arrow both ways
-        against the current candidates."""
-        # an arrow into a one-class object is matched by any live partner
-        # of that object among the other side's move targets, whatever the
-        # bijection
-        if (any(left.partners[ti].isdisjoint(right.reach[oj]) for ti in left.one[oi])
-                or any(right.partners[tj].isdisjoint(left.reach[oi]) for tj in right.one[oj])):
+    def kept(cand, mu, mr):
+        """The bijections of ``cand`` that transfer every arrow of u
+        against the moves of r and every arrow of r against the moves of
+        u, given the ``moves`` of u and r as mu and mr."""
+        ones_u, arrows_u, moves_u = mu
+        ones_r, arrows_r, moves_r = mr
+        # an arrow into a one-class object is matched by any move of the
+        # other object into its block, whatever the bijection
+        if ones_u != ones_r:
             return ()
-        # otherwise bij transfers an arrow when some move of the other
-        # object reaches a live pair whose transfers hold bij
-        keep = bijs
-        for ti, act in left.many[oi]:
-            keep = keep & matched(((ti, tj), act, act2) for tj, act2 in right.moves[oj])
-        for tj, act2 in right.many[oj]:
-            keep = keep & matched(((ti, tj), act, act2) for ti, act in left.moves[oi])
+        keep = cand
+        for b, act in arrows_u:
+            good = set()
+            for act2 in moves_r.get(b, ()):
+                good |= transfers(aut[b], act, act2)
+            keep = keep & good
+            if not keep:
+                return keep
+        for b, act2 in arrows_r:
+            good = set()
+            for act in moves_u.get(b, ()):
+                good |= transfers(aut[b], act, act2)
+            keep = keep & good
+            if not keep:
+                return keep
         return keep
 
-    # Only hot pairs are seeded: those where an object of the pair or one
-    # of its arrow targets has two or more classes.  Any other pair passes
-    # against the initial candidates: _refinement_colors returns a stable
-    # colouring, so same-coloured objects have equal reflexive successor
-    # colour sets, every arrow of one object meets a same-coloured move of
-    # the other, and with one class on every side any bijection commutes.
-    # Such a pair can only fail once a pair it reads shrinks, which queues it.
-    queue = [pair for pair in cands if left.hot[pair[0]] or right.hot[pair[1]]]
     queued = set(queue)
     while queue:
-        pair = queue.pop()
-        queued.discard(pair)
-        bijs = cands[pair]
-        keep = surviving(*pair, bijs)
-        if len(keep) == len(bijs):
+        b = queue.pop()
+        queued.discard(b)
+        old = members[b]
+        group = aut[b]
+        seen = {u: moves(u) for u in old}
+        parts = []
+        rest = old
+        while rest:
+            r = rest[0]
+            inv = _inverse(phi[r])
+            passed, failed = [], []
+            for u in rest:
+                key = (group, inv, phi[u])
+                cand = cosets.get(key)
+                if cand is None:
+                    cand = cosets[key] = frozenset(
+                        _compose(_compose(inv, g), phi[u]) for g in group)
+                keep = kept(cand, seen[u], seen[r])
+                if keep:
+                    passed.append((u, keep))
+                else:
+                    failed.append(u)
+            parts.append(passed)
+            rest = failed
+        if len(parts) == 1 and all(len(keep) == len(group) for _, keep in parts[0]):
             continue
-        oi, oj = pair
-        if keep:
-            cands[pair] = keep
-        else:
-            del cands[pair]
-            left.partners[oi].discard(oj)
-            right.partners[oj].discard(oi)
-        # the fixed point is unique, so re-checking the pairs whose moves
-        # reach this one, in any order, gives the same result
-        for pi in left.back[oi]:
-            for pj in right.back[oj]:
-                other = (pi, pj)
-                if other in cands and other not in queued:
-                    queued.add(other)
-                    queue.append(other)
-
-    missing_s = [oi for oi in range(s.n_objects) if not left.partners[oi]]
-    if missing_s:
-        oi = min(missing_s, key=lambda o: (len(s.arrows[o]), s.objects[o]))
-        return False, BisimCounterexample("left", s.objects[oi])
-    missing_t = [oj for oj in range(t.n_objects) if not right.partners[oj]]
-    if missing_t:
-        oj = min(missing_t, key=lambda o: (len(t.arrows[o]), t.objects[o]))
-        return False, BisimCounterexample("right", t.objects[oj])
-    triples = tuple(
-        (s.objects[oi], min(bijs), t.objects[oj])
-        for (oi, oj), bijs in sorted(cands.items())
-    )
-    return True, BisimRelation(triples)
+        new = []  # (members, group, phi of each member)
+        for passed in parts:
+            us = [u for u, _ in passed]
+            if us[0] < n_s <= us[-1]:
+                new.append((us, passed[0][1], [min(keep) for _, keep in passed]))
+            else:
+                for u in us:
+                    ident = tuple(range(counts[u]))
+                    new.append(([u], frozenset((ident,)), [ident]))
+        for i, (us, new_group, new_phi) in enumerate(new):
+            if i == 0:
+                nb = b
+            else:
+                nb = len(members)
+                members.append(None)
+                aut.append(None)
+            members[nb] = us
+            aut[nb] = groups.setdefault(new_group, new_group)
+            for u, p in zip(us, new_phi):
+                block[u] = nb
+                phi[u] = p
+        for u in old:
+            for p in back[u]:
+                pb = block[p]
+                if len(members[pb]) > 1 and pb not in queued:
+                    queued.add(pb)
+                    queue.append(pb)
 
 
 def is_weakly_dicontractible(x: PrecubicalSet, cap=None) -> bool:

@@ -51,6 +51,20 @@ def topface():
     return fx.topface()
 
 
+def _boxes(draw, dims, partial, count):
+    """Up to ``count`` boxes, each leaving an axis of ``partial`` partial."""
+    boxes = []
+    for _ in range(draw(st.integers(0, count)) if partial else 0):
+        keep = draw(st.sampled_from(partial))
+        box = []
+        for i, d in enumerate(dims):
+            lo = draw(st.integers(0, d - 1))
+            top = d - 1 if i == keep and lo == 0 else d
+            box.append((lo, draw(st.integers(lo + 1, top))))
+        boxes.append(box)
+    return boxes
+
+
 @st.composite
 def grid_models(draw):
     """A 1-3D grid (at most 3x3 or 2x2x2 cells) minus up to two boxes.
@@ -61,16 +75,28 @@ def grid_models(draw):
     n = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(1, 3 if n < 3 else 2)) for _ in range(n))
     partial = [i for i, d in enumerate(dims) if d > 1]
-    boxes = []
-    for _ in range(draw(st.integers(0, 2)) if partial else 0):
-        keep = draw(st.sampled_from(partial))
-        box = []
-        for i, d in enumerate(dims):
-            lo = draw(st.integers(0, d - 1))
-            top = d - 1 if i == keep and lo == 0 else d
-            box.append((lo, draw(st.integers(lo + 1, top))))
-        boxes.append(box)
-    return build_grid_complex(dims, boxes)
+    return build_grid_complex(dims, _boxes(draw, dims, partial, 2))
+
+
+@st.composite
+def larger_grid_models(draw):
+    """A 2D grid of up to 6x6 cells minus up to two boxes: hundreds of
+    reachable pairs, where ``grid_models`` reaches about a hundred."""
+    dims = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    partial = [i for i, d in enumerate(dims) if d > 1]
+    return build_grid_complex(dims, _boxes(draw, dims, partial, 2))
+
+
+@st.composite
+def collapse_pairs(draw):
+    """A 2D grid with holes off its last row, and the same grid with the
+    last row collapsed: the models of a map that sends that row onto the
+    one before it, and of the inclusion back.  Every box leaves axis 0
+    partial in both grids, so it cuts the same cells from each."""
+    dims = (draw(st.integers(2, 6)), draw(st.integers(1, 6)))
+    small = (dims[0] - 1, dims[1])
+    boxes = _boxes(draw, small, [0] if small[0] > 1 else [], 2)
+    return build_grid_complex(dims, boxes), build_grid_complex(small, boxes)
 
 
 @st.composite

@@ -8,14 +8,16 @@ from ditop.natsys import (
     BIJECTION_CAP,
     BisimCounterexample,
     BisimRelation,
+    _refinement_colors,
     bisimilar,
     build_natural_system,
     is_weakly_dicontractible,
     trivial_system,
 )
 
-from conftest import ALL_FIXTURES, dag_models, grid_models
-from oracles import bisim_gfp, relabel_complex
+from conftest import ALL_FIXTURES, collapse_pairs, dag_models, grid_models, larger_grid_models
+from oracles import _refinement_colors as jacobi_colors
+from oracles import bisim_gfp, bisim_pairs_reference, relabel_complex
 
 
 def test_seg_system_shape(seg):
@@ -104,10 +106,71 @@ def test_bijection_cap():
         bisimilar(s, s)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_object_over_the_cap_without_partner_is_uncovered(seg, swap):
+    # the 7-class object (0, 1) has no same-colour partner in seg, so no
+    # bijection set is built for it: the answer is "not bisimilar", not a
+    # refusal, in both orders
+    x = PrecubicalSet(2, [(0, 1)] * 7)
+    s, t = build_natural_system(x), build_natural_system(seg)
+    if swap:
+        s, t = t, s
+    ok, witness = bisimilar(s, t)
+    assert not ok
+    assert (witness.side, witness.obj) == ("left", (0, 1))
+
+
 def test_trivial_self_bisimilar():
     ok, rel = bisimilar(trivial_system(), trivial_system())
     assert ok
+    assert rel.size == 1
     assert rel.triples == ((("*", "*"), (0,), ("*", "*")),)
+
+
+def _hole_box(n):
+    """The central hole of the benchmark grids: 3 cells wide (n - 2 below 5)."""
+    k = min(3, n - 2)
+    lo = (n - k) // 2
+    return ((lo, lo + k), (lo, lo + k))
+
+
+def _holed(n):
+    return build_grid_complex((n, n), [_hole_box(n)])
+
+
+# relation sizes of one-hole n x n grids against themselves, from the
+# object-pair worklist (now oracles.bisim_pairs_reference); 9 x 9 from the
+# block refinement alone
+@pytest.mark.parametrize("n, size", [
+    (3, 2576), (4, 7200), (5, 14752), (6, 48907), (7, 139945), (9, 768864)])
+def test_self_relation_size_pinned(n, size):
+    s = build_natural_system(_holed(n))
+    ok, rel = bisimilar(s, s)
+    assert ok and rel.size == size
+    if n <= 4:
+        assert len(rel.triples) == size
+
+
+def test_hole_moved_relation_size_pinned():
+    (lo, hi), _ = _hole_box(6)
+    moved = build_grid_complex((6, 6), [((lo + 1, hi + 1), (lo, hi))])
+    ok, rel = bisimilar(build_natural_system(_holed(6)), build_natural_system(moved))
+    assert ok and rel.size == 49245
+
+
+def _two_holes(n):
+    return build_grid_complex((n, n), [((1, 3), (n - 3, n - 1)), ((n - 3, n - 1), (1, 3))])
+
+
+@pytest.mark.parametrize("left, right, obj", [
+    (lambda: get_fixture("sf"), lambda: get_fixture("hs"), (0, 14)),
+    (lambda: _holed(6), lambda: build_grid_complex((6, 6)), (0, 44)),
+    (lambda: _two_holes(6), lambda: _holed(6), (0, 46)),
+], ids=["sf-hs", "H6-F6", "T6-H6"])
+def test_counterexample_pinned(left, right, obj):
+    ok, witness = bisimilar(build_natural_system(left()), build_natural_system(right()))
+    assert not ok
+    assert (witness.side, witness.obj) == ("left", obj)
 
 
 MODELS = st.one_of(grid_models(), dag_models())
@@ -166,3 +229,72 @@ def test_fixed_point_prunes_pairs_the_colours_keep(n, edges, squares, size):
     assert ok
     assert len(rel.triples) == size
     assert (True, rel.triples) == bisim_gfp(s, s)
+
+
+REFERENCE_PAIRS = 40_000  # object pairs per example for the pair worklist
+
+
+def _outcome(fn, s, t):
+    try:
+        verdict, detail = fn(s, t)
+    except BudgetExceeded as exc:
+        return "refused", str(exc)
+    if isinstance(detail, BisimRelation):
+        assert detail.size == len(detail.triples)
+        detail = detail.triples
+    elif isinstance(detail, BisimCounterexample):
+        detail = (detail.side, detail.obj)
+    return verdict, detail
+
+
+@st.composite
+def reference_inputs(draw):
+    """Two models: independent draws, a model and a relabelled copy, or a
+    grid and the same grid with its last row collapsed."""
+    kind = draw(st.sampled_from(["independent", "relabelled", "collapse"]))
+    if kind == "collapse":
+        return draw(collapse_pairs())
+    x = draw(st.one_of(larger_grid_models(), dag_models()))
+    if kind == "relabelled":
+        y, _, _ = relabel_complex(x, draw(st.permutations(range(x.n_vertices))))
+    else:
+        y = draw(st.one_of(larger_grid_models(), dag_models()))
+    return x, y
+
+
+# The 2x2 grid without its diagonal cells: a colour class that shrinks
+# after it split others must split them again (a splitter colouring that
+# skips that keeps 218 pairs, not 194).
+ANTI_DIAGONAL = build_grid_complex((2, 2), [((0, 1), (0, 1)), ((1, 2), (1, 2))])
+# A grid against parallel edges: the refinement leaves a part of several
+# left objects and no right one, which must become singletons; kept as a
+# block it would count as covered and hide the reported left (0, 2).
+ONE_SIDED = (build_grid_complex((2, 2), [((0, 1), (0, 1)), ((0, 1), (1, 2))]),
+             PrecubicalSet(4, [(0, 1), (0, 1), (0, 1), (1, 2), (1, 2)],
+                           [(0, 3, 1, 4), (0, 4, 1, 3), (0, 3, 2, 4)]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(reference_inputs(), st.booleans())
+@example((ANTI_DIAGONAL, ANTI_DIAGONAL), False)
+@example(ONE_SIDED, False)
+def test_bisimilar_matches_the_pair_reference(models, swap):
+    x, y = reversed(models) if swap else models
+    assume(len(gamma(x)) * len(gamma(y)) <= REFERENCE_PAIRS)
+    s, t = build_natural_system(x), build_natural_system(y)
+    assert _outcome(bisimilar, s, t) == _outcome(bisim_pairs_reference, s, t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(reference_inputs())
+@example((ANTI_DIAGONAL, ANTI_DIAGONAL))
+def test_colours_match_the_jacobi_refinement(models):
+    s, t = (build_natural_system(x) for x in models)
+    n_s = s.n_objects
+    arrows = s.arrows + tuple(tuple((n_s + o, act) for o, act in arr) for arr in t.arrows)
+    got = {frozenset(c) for c in _refinement_colors(s.counts + t.counts, arrows)}
+    jacobi = jacobi_colors([s, t])
+    want = {}
+    for (side, o), c in jacobi.items():
+        want.setdefault(c, set()).add(o + side * n_s)
+    assert got == {frozenset(c) for c in want.values()}
