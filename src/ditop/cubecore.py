@@ -7,6 +7,7 @@ by :func:`build_grid_complex`.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -227,6 +228,11 @@ class GammaSet:
 
     def __len__(self):
         return len(self.pairs)
+
+    def reach(self, a):
+        """The vertices reachable from a, a included."""
+        lo, hi = (bisect.bisect_left(self.pairs, (v,)) for v in (a, a + 1))
+        return {b for _, b in self.pairs[lo:hi]}
 
 
 def reachable(x: PrecubicalSet, a: int, b: int) -> bool:

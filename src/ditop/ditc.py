@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
-from .traceclass import elementary_actions, elementary_arrows, extend_class, trace_classes
+from .natsys import build_natural_system
+from .traceclass import elementary_arrows, extend_class, trace_classes
 
 DEFAULT_PART_CAP = 6
 GAMMA_CAP = 2500
@@ -50,13 +51,12 @@ class SectionPartition:
 
 def _arrow_table(x: PrecubicalSet, cap=None):
     """Per pair: class count and internal-constraint arrows
-    (target pair, action tuple)."""
-    pairs = tuple(gamma(x))
-    counts = {}
-    arrows = {}
-    for pair in pairs:
-        counts[pair] = trace_classes(x, *pair, cap=cap).count
-        arrows[pair] = list(elementary_actions(x, pair, cap))
+    (target pair, action tuple), read from the natural class system."""
+    system = build_natural_system(x, cap)
+    pairs = system.objects
+    counts = dict(zip(pairs, system.counts))
+    arrows = {p: [(pairs[i], action) for i, action in out]
+              for p, out in zip(pairs, system.arrows)}
     return pairs, counts, arrows
 
 

@@ -53,7 +53,7 @@ from typing import Callable
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
-from .traceclass import elementary_actions, trace_classes
+from .traceclass import whole_tables
 
 BIJECTION_CAP = 6
 
@@ -101,13 +101,20 @@ class BisimCounterexample:
 
 
 def build_natural_system(x: PrecubicalSet, cap=None) -> NaturalClassSystem:
+    """The natural class system of x.  Objects are the reachable pairs in
+    ``gamma`` order; the arrows of (a, b) follow ``elementary_arrows``:
+    to (s, b) per in-edge s -> a, then to (a, t) per out-edge b -> t.
+    Every pair's dipaths are counted and checked against ``cap`` before
+    any class work."""
     objects = tuple(gamma(x))
     index = {pair: i for i, pair in enumerate(objects)}
-    counts = []
-    arrows = []
-    for pair in objects:
-        counts.append(trace_classes(x, *pair, cap=cap).count)
-        arrows.append(tuple((index[t], act) for t, act in elementary_actions(x, pair, cap)))
+    tables = whole_tables(x, cap)
+    counts, arrows = [], []
+    for a, b in objects:
+        t, in_rows = tables[a]
+        counts.append(t.count[b])
+        arrows.append(tuple([(index[s, b], rows[b]) for s, rows in in_rows]
+                            + [(index[a, x.edges[e][1]], t.ext[e]) for e in x.out_edges(b)]))
     return NaturalClassSystem(objects, tuple(counts), tuple(arrows))
 
 

@@ -15,16 +15,17 @@ alpha follows by naturality: ``[alpha.q.f] = ext_f([alpha.q])``.
 Class ids follow the lexicographically least member of each class.
 Least members are prefix-closed (flips keep the length), so each class
 keeps one (edge, class before it) link and representatives are built
-only when asked for.  A table grows only over the vertices a query
-needs and is cached on the complex.  Every ``cap`` parameter bounds the
-number of dipaths of a pair, counted by dynamic programming before any
-class work, and defaults to ``cubecore.DEFAULT_PATH_CAP``.
+only when asked for.  Tables are cached on the complex; a one-pair query
+grows one only over the vertices it needs, ``whole_tables`` builds all
+of them whole.  Every ``cap`` parameter bounds the number of dipaths of
+a pair, counted by dynamic programming before any class work, and
+defaults to ``cubecore.DEFAULT_PATH_CAP``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cubecore import DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, descendants
+from .cubecore import DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, descendants, gamma
 from .errors import ModelError, PathCapExceeded
 
 
@@ -36,7 +37,8 @@ class _Table:
 
     def __init__(self, x: PrecubicalSet, a: int):
         self.a = a
-        self.reach = descendants(x, a)
+        # once gamma is known, each source's reach is read from it
+        self.reach = descendants(x, a) if x._gamma is None else x._gamma.reach(a)
         self.paths = {a: 1}  # v -> number of dipaths a -> v
         self.count = {a: 1}  # v -> number of classes
         self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
@@ -157,8 +159,16 @@ class _Table:
         """The map [q] -> [alpha.q] from C(a, v) to C(outer.a, v), for a
         prefix alpha: outer.a -> a of class k.  Both tables must be built
         up to v."""
+        todo = self._todo(x, self.pre.get((outer.a, k), (self.a,)), v)
+        return self.prefix_rows(x, outer, k, todo)[v]
+
+    def prefix_rows(self, x, outer, k, todo):
+        """Those maps at every vertex, filled at the vertices of ``todo``
+        (in topological order) that miss one."""
         rows = self.pre.setdefault((outer.a, k), {self.a: (k,)})
-        for w in self._todo(x, rows, v):
+        for w in todo:
+            if w in rows:
+                continue
             row = [0] * self.count[w]
             for f in x.in_edges(w):
                 up = rows.get(x.edges[f][0])
@@ -167,7 +177,7 @@ class _Table:
                     for c, image in enumerate(up):
                         row[own[c]] = theirs[image]
             rows[w] = tuple(row)
-        return rows[v]
+        return rows
 
 
 @dataclass
@@ -224,6 +234,41 @@ def trace_classes(x: PrecubicalSet, a: int, b: int, cap=None) -> ClassSet:
     return ClassSet((a, b), n, x)
 
 
+def whole_tables(x: PrecubicalSet, cap=None):
+    """Per vertex a: its class table glued over its whole reach, and
+    (s, prefix rows) of each in-edge s -> a.  Every pair's dipaths are
+    counted first; a refusal names the first pair over ``cap`` in the
+    order (a, b) of ``gamma``, then (s, b) per in-edge of a and (a, t)
+    per out-edge of b."""
+    cap = DEFAULT_PATH_CAP if cap is None else cap
+    edges, rank, pairs = x.edges, x._rank.__getitem__, gamma(x)
+    tables = []
+    for a in range(x.n_vertices):
+        t = _table(x, a)
+        order = sorted(t.reach, key=rank)
+        for w in order:
+            if w not in t.paths:
+                t.paths[w] = sum(t.paths.get(edges[e][0], 0) for e in x.in_edges(w))
+        tables.append((t, order))
+    if any(max(t.paths.values()) > cap for t, _ in tables):
+        for a, b in pairs:
+            for s, v in ([(a, b)] + [(edges[e][0], b) for e in x.in_edges(a)]
+                         + [(a, edges[e][1]) for e in x.out_edges(b)]):
+                if tables[s][0].paths[v] > cap:
+                    raise PathCapExceeded((s, v), cap)
+    for t, order in tables:
+        for w in order:
+            if w not in t.count:
+                t._glue(x, w)
+    for a, (t, order) in enumerate(tables):
+        in_rows = []
+        for e in x.in_edges(a):
+            outer = tables[edges[e][0]][0]
+            in_rows.append((outer.a, t.prefix_rows(x, outer, outer.ext[e][0], order)))
+        tables[a] = t, in_rows
+    return tables
+
+
 def class_of(x: PrecubicalSet, p: DPath, cap=None) -> int:
     """Class id of a path within trace_classes(start, end)."""
     end = x.check_path(p)
@@ -270,29 +315,12 @@ def elementary_arrows(x: PrecubicalSet, pair):
         yield ExtensionArrow((a, b), (a, t), DPath(a), DPath(b, (e,)))
 
 
-def elementary_actions(x: PrecubicalSet, pair, cap=None):
-    """(target, action) of each elementary arrow out of a pair, in
-    ``elementary_arrows`` order, read from the class tables: an in-edge
-    of the start acts by its prefix row, an out-edge of the end by its
-    ``ext`` row."""
-    a, b = pair
-    trace_classes(x, a, b, cap=cap)
-    inner = _table(x, a)
-    for e in x.in_edges(a):
-        s = x.edges[e][0]
-        trace_classes(x, s, b, cap=cap)
-        outer = _table(x, s)
-        yield (s, b), inner.prefix(x, outer, outer.ext[e][0], b)
-    for e in x.out_edges(b):
-        t = x.edges[e][1]
-        trace_classes(x, a, t, cap=cap)
-        yield (a, t), inner.ext[e]
-
-
 def core_actions(x: PrecubicalSet, pair):
     """(edge, target, action) of each elementary arrow out of a traced
-    pair, as ``elementary_actions`` gives them, but with the action None,
-    computing nothing, for an arrow into a one-class pair."""
+    pair, in ``elementary_arrows`` order: an in-edge of the start acts by
+    its prefix row, an out-edge of the end by its ``ext`` row, and the
+    action is None, computing nothing, for an arrow into a one-class
+    pair."""
     a, b = pair
     inner = _table(x, a)
     for e in x.in_edges(a):

@@ -8,9 +8,10 @@ Jacobi sweeps over every same-count pair, or a worklist over every
 same-colour pair of Jacobi-refined colours, instead of blocks with a
 bijection group, dense Smith normal form instead of sparse unit pivots, a
 diTC search that solves every part from scratch over all of its pairs
-instead of keeping a witness on its multi-class pairs, and an
-equivalence check that tries every pair of dipaths as an arrow instead
-of every pair of classes.
+instead of keeping a witness on its multi-class pairs, an equivalence
+check that tries every pair of dipaths as an arrow instead of every pair
+of classes, and a natural class system built pair by pair through
+one-pair queries instead of from whole class tables.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -172,6 +173,54 @@ def path_count_dp(x, a, b):
             for e in x.out_edges(v):
                 count[x.edges[e][1]] += count[v]
     return count[b]
+
+
+def elementary_actions(x, pair, cap=None):
+    """(target, action) of each elementary arrow out of a pair, in
+    ``elementary_arrows`` order, read from the class tables: an in-edge
+    of the start acts by its prefix row, an out-edge of the end by its
+    ``ext`` row."""
+    from ditop.traceclass import _table, trace_classes
+
+    a, b = pair
+    trace_classes(x, a, b, cap=cap)
+    inner = _table(x, a)
+    for e in x.in_edges(a):
+        s = x.edges[e][0]
+        trace_classes(x, s, b, cap=cap)
+        outer = _table(x, s)
+        yield (s, b), inner.prefix(x, outer, outer.ext[e][0], b)
+    for e in x.out_edges(b):
+        t = x.edges[e][1]
+        trace_classes(x, a, t, cap=cap)
+        yield (a, t), inner.ext[e]
+
+
+def natural_system_reference(x, cap=None):
+    """The natural class system built pair by pair: one ``trace_classes``
+    per object and per arrow target, each checking its own cap."""
+    from ditop.cubecore import gamma
+    from ditop.natsys import NaturalClassSystem
+    from ditop.traceclass import trace_classes
+
+    objects = tuple(gamma(x))
+    index = {pair: i for i, pair in enumerate(objects)}
+    counts = []
+    arrows = []
+    for pair in objects:
+        counts.append(trace_classes(x, *pair, cap=cap).count)
+        arrows.append(tuple((index[t], act) for t, act in elementary_actions(x, pair, cap)))
+    return NaturalClassSystem(objects, tuple(counts), tuple(arrows))
+
+
+def _arrow_table_reference(x):
+    """``ditc._arrow_table`` from ``natural_system_reference``."""
+    system = natural_system_reference(x)
+    pairs = system.objects
+    counts = dict(zip(pairs, system.counts))
+    arrows = {p: [(pairs[i], act) for i, act in out]
+              for p, out in zip(pairs, system.arrows)}
+    return pairs, counts, arrows
 
 
 def bisim_gfp(s, t):
@@ -726,16 +775,16 @@ def ditc_reference(x, upper=False, cap=6):
     pairs, with the greedy bound as incumbent and ``feasible_choice`` on
     the whole part at every node."""
     from ditop.cubecore import gamma
-    from ditop.ditc import GAMMA_CAP, SectionPartition, _arrow_table
+    from ditop.ditc import GAMMA_CAP, SectionPartition
     from ditop.errors import BudgetExceeded
 
     if upper:
-        return greedy_reference(*_arrow_table(x))
+        return greedy_reference(*_arrow_table_reference(x))
     n_pairs = len(gamma(x))
     if n_pairs > GAMMA_CAP:
         raise BudgetExceeded(
             f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
-    pairs, counts, arrows = _arrow_table(x)
+    pairs, counts, arrows = _arrow_table_reference(x)
     n_upper, sp_upper = greedy_reference(pairs, counts, arrows)
     if n_upper == 1:
         return 1, sp_upper

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma
-from ditop.errors import BudgetExceeded
+from ditop.errors import BudgetExceeded, PathCapExceeded
 from ditop.fixtures import get_fixture
 from ditop.natsys import (
     BIJECTION_CAP,
@@ -14,10 +14,13 @@ from ditop.natsys import (
     is_weakly_dicontractible,
     trivial_system,
 )
+from ditop.traceclass import elementary_arrows, trace_classes
 
 from conftest import ALL_FIXTURES, collapse_pairs, dag_models, grid_models, larger_grid_models
 from oracles import _refinement_colors as jacobi_colors
-from oracles import bisim_gfp, bisim_pairs_reference, relabel_complex
+from oracles import (
+    bisim_gfp, bisim_pairs_reference, closure_pairs, flip_class_count, flip_classes,
+    natural_system_reference, relabel_complex)
 
 
 def test_seg_system_shape(seg):
@@ -298,3 +301,58 @@ def test_colours_match_the_jacobi_refinement(models):
     for (side, o), c in jacobi.items():
         want.setdefault(c, set()).add(o + side * n_s)
     assert got == {frozenset(c) for c in want.values()}
+
+
+def _system_or_refusal(build, x, cap):
+    try:
+        return repr(build(x, cap))
+    except PathCapExceeded as exc:
+        return exc.pair, exc.cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grid_models(), dag_models()), st.data())
+def test_natural_system_matches_the_pair_reference(x, data):
+    # whole tables against one trace_classes per object and arrow target:
+    # the same system, or the same first refusal, on a cold copy and on
+    # one whose tables some one-pair queries already started
+    if data.draw(st.booleans()):
+        x, _, _ = relabel_complex(x, data.draw(st.permutations(range(x.n_vertices))))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 30)))
+    want = _system_or_refusal(natural_system_reference, PrecubicalSet.from_json(x.to_json()), cap)
+    # drawn without gamma, so these tables find their reach by search
+    for a, b in data.draw(st.lists(st.sampled_from(sorted(closure_pairs(x))), max_size=3)
+                          if x.n_vertices else st.just([])):
+        try:
+            trace_classes(x, a, b, cap=data.draw(st.one_of(st.none(), st.integers(0, 30))))
+        except PathCapExceeded:
+            pass
+    assert _system_or_refusal(build_natural_system, x, cap) == want
+
+
+def test_refusal_names_an_in_edge_pair_before_an_out_edge_pair():
+    # at object (0, 2) the in-edge pair (1, 2) and the out-edge pair
+    # (0, 3) both have two dipaths; the in-edge pair is checked first
+    x = PrecubicalSet(4, [(1, 0), (0, 2), (1, 2), (2, 3), (2, 3)])
+    want = _system_or_refusal(natural_system_reference, PrecubicalSet.from_json(x.to_json()), 1)
+    assert _system_or_refusal(build_natural_system, x, 1) == want == ((1, 2), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_models(), dag_models()))
+def test_natural_system_matches_the_flip_oracle(x):
+    s = build_natural_system(x)
+    assert s.objects == tuple(sorted(closure_pairs(x)))
+    classes = {pair: flip_classes(x, *pair) for pair in s.objects}
+
+    def oracle_class(pair, edges):
+        return next(i for i, c in enumerate(classes[pair]) if edges in c)
+
+    for pair, count, arrows in zip(s.objects, s.counts, s.arrows):
+        assert count == flip_class_count(x, *pair)
+        reps = [c[0] for c in classes[pair]]
+        want = [(s.objects.index(ar.target),
+                 tuple(oracle_class(ar.target, ar.alpha.edges + rep + ar.beta.edges)
+                       for rep in reps))
+                for ar in elementary_arrows(x, pair)]
+        assert list(arrows) == want
