@@ -145,9 +145,6 @@ class PrecubicalSet:
             at = self.edges[e][1]
         return at
 
-    def vertex_label(self, v):
-        return self.labels.get(v, str(v))
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:

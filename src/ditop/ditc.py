@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ModelError
 from .natsys import build_natural_system
 from .traceclass import elementary_arrows, extend_class, trace_classes
 
@@ -274,8 +274,11 @@ def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP, path_cap=None):
 
     A greedy value of at most 2 is returned as it stands; otherwise
     branch and bound starts from it.  Raises BudgetExceeded when the
-    part cap is below the optimum it proves.
+    part cap is below the optimum it proves, and ModelError when it is
+    below 1.
     """
+    if cap < 1:
+        raise ModelError(f"the part cap must be at least 1, got {cap}")
     n_pairs = len(gamma(x))
     if n_pairs > GAMMA_CAP:
         raise BudgetExceeded(

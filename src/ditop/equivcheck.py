@@ -6,37 +6,35 @@ vertices, and squares to squares or collapses them to edges or vertices.
 classes, whether a pair of dmaps (f, g) is a directed homotopy
 equivalence: induced class maps must be bijections, the composites must
 be directed-homotopic to identities, and four families of extension
-diagrams must admit matching arrows.  ``check_strong`` verifies the
-stronger pointwise conditions that imply the diagrammatic ones.
+diagrams must admit matching arrows.  ``check_strong`` states the
+stronger pointwise conditions (a)-(d) that imply the diagrammatic ones.
 
 Both checks read the class tables of ``traceclass`` and list no dipaths.
 The action of an arrow (alpha, beta) depends only on the classes of
-alpha and beta, so the search for a matching arrow runs over class
-pairs, in class order, and is exact: a refusal names a diagram that no
-arrow makes commute.
+alpha and beta, and two lemmas leave no arrow to search for:
 
-One-class pairs only fix classes: an arrow into one sends every class
-to 0, so it commutes with any class bijections.  Stage 1 checks such a
-pair by its image's count; families A and D skip own arrows into one,
-whose image pairs a dmap keeps reachable; a lifting obligation into one
-holds when some preimage extends its source; stage 3 skips pairs that
-fold into one; and only arrows into multi-class pairs get an action.
+1. A dmap m maps dipaths edge by edge and sends each flip to a flip or
+   to a single path, so m(alpha.q.beta) ~ m(alpha).m(q).m(beta): the
+   image of an arrow commutes with the induced class maps, and families
+   A and D and strong conditions (a) and (b) hold for every valid dmap.
+2. Once stage 1 has made the class maps bijective, with inverses F,
+   take an arrow of the other model from (m c, m d), of classes (k, l),
+   into the image of a pair that extends (c, d).  The own arrow into
+   any such preimage with classes (F k, F l) maps onto one of classes
+   (k, l), which acts as the given arrow, so it commutes by lemma 1:
+   B, C, (c) and (d) fail only where no preimage extends (c, d).
 
-Every condition is symmetric in the two maps.  Diagram families A and D
-are one check with the roles of (x, f, F) and (y, g, G) swapped, and so
-are families B and C, strong conditions (a) and (b), and strong
-conditions (c) and (d); each is written once and run once per side.
+So both checks run stages 1-3 and then one reachability test per side,
+B with the roles of (x, f) and (y, g) swapped from C, and they agree.
 """
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .cubecore import DPath, PrecubicalSet, gamma, json_int
 from .errors import ModelError
-from .traceclass import (
-    ExtensionArrow, _table, class_pair_action, core_actions, trace_classes)
+from .traceclass import _table, trace_classes
 
 
 @dataclass(frozen=True)
@@ -233,10 +231,9 @@ def induced_class_map(x, y, f, a, b, cap=None):
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
-    """Accepted equivalence data: the dmaps, the inverse class bijections
-    F (indexed by source pairs) and G (indexed by target pairs), and the
-    matching arrow found for every diagram into a pair with two or more
-    classes; into a one-class pair every arrow matches, and none is kept."""
+    """Accepted equivalence data: the dmaps and the inverse class
+    bijections F (indexed by source pairs) and G (indexed by target
+    pairs), with which every diagram commutes by the two lemmas."""
 
     x: PrecubicalSet
     y: PrecubicalSet
@@ -244,7 +241,6 @@ class EquivalenceCertificate:
     g: DMapData
     F: dict
     G: dict
-    matches: dict
 
 
 @dataclass(frozen=True)
@@ -255,11 +251,6 @@ class EquivFailure:
     stage: str
     location: tuple
     detail: str
-
-
-# One map of the pair: m runs own -> other; per pair of own, fwd is the
-# induced class map and inv its inverse (F on the f side, G on the g side).
-_Side = namedtuple("_Side", "own other m fwd inv")
 
 
 def _connection_commutes(w, h, forward):
@@ -294,16 +285,17 @@ def _connection_commutes(w, h, forward):
 def _stages_1_to_3(x, y, f, g, cap):
     """Stages 1-3 of both checks: dmap validation, class bijections of f
     then g, homotopies of g*f then f*g to the identities.  Returns
-    (None, (f side, g side)) or (EquivFailure, None).  Every pair of both
-    models is traced within ``cap`` once stage 1 has passed, so the later
-    stages, strong conditions (a)-(d) included, read the tables only."""
+    (None, (F, G)), the inverse class maps per own pair, or
+    (EquivFailure, None).  Every pair of both
+    models is traced within ``cap`` once stage 1 has passed, so stage 3
+    reads the tables only."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
             raise ModelError(f"invalid dmap {name}: {bad[0]}")
-    sides = []
+    inverses = []
     for name, own, other, m in (("f", x, y, f), ("g", y, x, g)):
-        vm, fwd, inv = m.vertex_map, {}, {}
+        vm, inv = m.vertex_map, {}
         for a, b in gamma(own):
             # a one-class pair maps bijectively exactly when its image has one class
             img = (induced_class_map(own, other, m, a, b, cap=cap)
@@ -314,9 +306,8 @@ def _stages_1_to_3(x, y, f, g, cap):
                     f"{name}-class-bijection", (a, b),
                     f"{len(img)} classes map onto {len(set(img))} of {n_target}",
                 ), None
-            fwd[(a, b)] = img
             inv[(a, b)] = tuple(img.index(i) for i in range(n_target))
-        sides.append(_Side(own, other, m, fwd, inv))
+        inverses.append(inv)
     for stage, name, w, first, then in (
         ("gf-homotopy", "g*f", x, f, g), ("fg-homotopy", "f*g", y, g, f)
     ):
@@ -327,102 +318,27 @@ def _stages_1_to_3(x, y, f, g, cap):
                 _connection_commutes(w, h, forward) for forward in (True, False)):
             return EquivFailure(
                 stage, (), f"{name} admits no directed homotopy to id"), None
-    return None, tuple(sides)
+    return None, tuple(inverses)
 
 
-def _commutes(side, src, tgt, act_own, act_other):
-    """Does the class map of ``side`` commute, from pair ``src`` to pair
-    ``tgt``, with the actions of two arrows?  Its inverse then commutes
-    too, being the inverse of a bijection on both pairs."""
-    return (tuple(map(side.fwd[tgt].__getitem__, act_own))
-            == tuple(map(act_other.__getitem__, side.fwd[src])))
-
-
-def _edge_classes(w, pair, e):
-    """The (prefix, suffix) class pair of the elementary arrow of w along
-    edge e out of ``pair``: a prefix when e ends at the pair's start."""
-    s, t = w.edges[e]
-    c = _table(w, s).ext[e][0]
-    return (c, 0) if t == pair[0] else (0, c)
-
-
-def _first_match(w, src, targets, commutes):
-    """The first arrow of w from ``src`` into one of ``targets``, trying
-    class pairs (prefix class k, suffix class l) in class order, whose
-    action ``commutes(target, action)`` accepts, or None.  The arrow is
-    built from representatives only for that match.  Stage 1 has traced
-    every pair within the path cap, which bounds the class pairs."""
-    a, b = src
-    for tgt in targets:
-        a2, b2 = tgt
-        for k in range(_table(w, a2).count[a]):
-            for l in range(_table(w, b).count[b2]):
-                if commutes(tgt, class_pair_action(w, src, tgt, k, l)):
-                    return ExtensionArrow(
-                        src, tgt, _table(w, a2).representatives(w, a)[k],
-                        _table(w, b).representatives(w, b2)[l])
-    return None
-
-
-def _forward_family(label, side, matches):
-    """Family A on the f side, D on the g side: each elementary arrow of
-    the own model into a multi-class pair needs a commuting arrow between
-    the image pairs.  Returns an EquivFailure or None; fills ``matches``."""
-    own, other, mv = side.own, side.other, side.m.vertex_map
-    for a, b in gamma(own):
-        for _, (a2, b2), act_own in core_actions(own, (a, b)):
-            if act_own is None:
-                continue
-            hit = _first_match(
-                other, (mv[a], mv[b]), [(mv[a2], mv[b2])],
-                lambda _, act: _commutes(side, (a, b), (a2, b2), act_own, act))
-            if hit is None:
-                return EquivFailure(
-                    f"diagram-{label}", ((a, b), (a2, b2)),
-                    "no matching target arrow commutes")
-            matches[(label, (a, b), (a2, b2))] = hit
-    return None
-
-
-def _lifting_obligations(side):
-    """Per pair (c, d) of the own model, each elementary arrow of the
-    other model from its image into an image pair, as its class pair,
-    target and action, with the preimages of that pair that extend
-    (c, d).  Other arrows carry no obligation, nor does an arrow into a
-    one-class pair with a preimage; without one its action is None."""
-    own, other, mv = side.own, side.other, side.m.vertex_map
+def _unlifted(own, other, mv):
+    """The first lifting diagram with no preimage under the vertex map
+    ``mv``, as (source, target): a pair (c, d) of ``own`` and the target
+    of an elementary arrow of ``other`` from (mv c, mv d) into an image
+    pair, none of whose preimages (c2, d2) has (c2, c) and (d, d2)
+    reachable; or None.  Pairs go in ``gamma`` order, and the arrows of
+    each along the in-edges of mv c, then the out-edges of mv d."""
     pairs = gamma(own)
     image = {}
     for a, b in pairs:
         image.setdefault((mv[a], mv[b]), []).append((a, b))
-    arrows = {}  # image pair -> its obligation arrows, shared by preimages
     for c, d in pairs:
-        src = (mv[c], mv[d])
-        if src not in arrows:
-            arrows[src] = [
-                (_edge_classes(other, src, e), target, action)
-                for e, target, action in core_actions(other, src)
-                if target in image]
-        for kl, target, action in arrows[src]:
-            pre = [(c2, d2) for c2, d2 in image[target]
-                   if (c2, c) in pairs and (d, d2) in pairs]
-            if action is not None or not pre:
-                yield (c, d), kl, target, action, pre
-
-
-def _lifting_family(label, side, matches):
-    """Family B on the g side, C on the f side: each lifting obligation
-    needs a commuting arrow of the own model into some preimage.  Returns
-    an EquivFailure or None and fills ``matches``."""
-    for src, _, target, act_other, pre in _lifting_obligations(side):
-        found = _first_match(
-            side.own, src, pre,
-            lambda tgt, act: _commutes(side, src, tgt, act, act_other))
-        if found is None:
-            return EquivFailure(
-                f"diagram-{label}", (src, target),
-                "no source-side preimage arrow commutes")
-        matches[(label, src, target)] = found
+        a, b = mv[c], mv[d]
+        for target in ([(other.edges[e][0], b) for e in other.in_edges(a)]
+                       + [(a, other.edges[e][1]) for e in other.out_edges(b)]):
+            if target in image and not any(
+                    (c2, c) in pairs and (d, d2) in pairs for c2, d2 in image[target]):
+                return (c, d), target
     return None
 
 
@@ -432,80 +348,35 @@ def check_dihomotopy_equivalence(x, y, f, g, cap=None):
     Returns (True, EquivalenceCertificate) or (False, EquivFailure).
     Stages, in order: bijectivity of the class maps of f on all pairs of
     x; same for g on y; directed homotopy of g*f and f*g to identities;
-    then four diagram families demanding matching extension arrows,
-    searched exactly over class pairs.
+    then diagram families B and C, which by the two lemmas fail exactly
+    where a lifting diagram has no preimage.  Families A and D hold.
     """
-    failure, sides = _stages_1_to_3(x, y, f, g, cap)
+    failure, inverses = _stages_1_to_3(x, y, f, g, cap)
     if failure is not None:
         return False, failure
-    f_side, g_side = sides
-    matches = {}
-    for label, family, side in (
-        ("A", _forward_family, f_side),
-        ("B", _lifting_family, g_side),
-        ("C", _lifting_family, f_side),
-        ("D", _forward_family, g_side),
-    ):
-        failure = family(label, side, matches)
-        if failure is not None:
-            return False, failure
-    return True, EquivalenceCertificate(
-        x, y, f, g, f_side.inv, g_side.inv, matches)
-
-
-def _strong_push(side, cap=None):
-    """Strong condition (a) on the f side, (b) on the g side: each
-    elementary arrow of the own model into a multi-class pair commutes
-    with its image arrow, the elementary arrow of the image edge, or the
-    identity when the edge collapses."""
-    own, other, m, mv = side.own, side.other, side.m, side.m.vertex_map
-    for a, b in gamma(own):
-        for e, (a2, b2), act_own in core_actions(own, (a, b)):
-            if act_own is None:
-                continue
-            src, tgt = (mv[a], mv[b]), (mv[a2], mv[b2])
-            tag, j = m.edge_map[e]
-            k, l = _edge_classes(other, src, j) if tag == "e" else (0, 0)
-            if not _commutes(side, (a, b), (a2, b2), act_own,
-                             class_pair_action(other, src, tgt, k, l)):
-                return False
-    return True
-
-
-def _strong_lift(side, cap=None):
-    """Strong condition (c) on the f side, (d) on the g side: each lifting
-    obligation commutes, for some preimage, with the own arrow whose
-    prefix and suffix classes are the inverse images of its own."""
-    own, inv = side.own, side.inv
-    for (a, b), (k, l), _, act_other, pre in _lifting_obligations(side):
-        if not any(
-            _commutes(side, (a, b), (a2, b2), class_pair_action(
-                own, (a, b), (a2, b2), inv[(a2, a)][k], inv[(b, b2)][l]), act_other)
-            for a2, b2 in pre
-        ):
-            return False
-    return True
+    for label, own, other, m in (("B", y, x, g), ("C", x, y, f)):
+        miss = _unlifted(own, other, m.vertex_map)
+        if miss is not None:
+            return False, EquivFailure(
+                f"diagram-{label}", miss, "no source-side preimage arrow commutes")
+    return True, EquivalenceCertificate(x, y, f, g, *inverses)
 
 
 def check_strong(x, y, f, g, cap=None) -> bool:
-    """Pointwise naturality conditions on (f, g, F, G).
+    """Pointwise naturality conditions (a)-(d) on (f, g, F, G).
 
     F and G are the inverses of the induced class maps; a non-bijective
     induced map or a failed homotopy to the identity fails the check.
+    Conditions (a) and (b) hold by lemma 1, and (c) and (d) fail exactly
+    where B and C do by lemma 2, so the verdict is the class-level one.
     """
-    failure, sides = _stages_1_to_3(x, y, f, g, cap)
-    if failure is not None:
-        return False
-    f_side, g_side = sides
-    return (_strong_push(f_side) and _strong_push(g_side)
-            and _strong_lift(f_side) and _strong_lift(g_side))
+    return check_dihomotopy_equivalence(x, y, f, g, cap)[0]
 
 
 def compose_equivalences(e1: EquivalenceCertificate, e2: EquivalenceCertificate):
     """Certificate for the composite equivalence, re-verified."""
-    if e1.y is not e2.x and (
-        e1.y.n_vertices != e2.x.n_vertices or e1.y.edges != e2.x.edges
-    ):
+    a, b = e1.y, e2.x
+    if a is not b and (a.n_vertices, a.edges, a.squares) != (b.n_vertices, b.edges, b.squares):
         raise ModelError("certificates do not compose: middle models differ")
     f = compose_dmaps(e1.f, e2.f)
     g = compose_dmaps(e2.g, e1.g)
@@ -519,8 +390,7 @@ def check_two_of_three_surjective(e1, e21, f2: DMapData):
     """Given certificates for f1: x->y and for the composite f2*f1: x->z,
     with both vertex-surjective, build candidate inverse data for
     f2: y->z from the composite's and re-verify."""
-    x, y = e1.x, e1.y
-    z = e21.y
+    y, z = e1.y, e21.y
     for name, cert in (("f1", e1), ("f2*f1", e21)):
         if set(cert.f.vertex_map) != set(range(cert.y.n_vertices)):
             raise ModelError(f"{name} is not vertex-surjective")

@@ -315,23 +315,6 @@ def elementary_arrows(x: PrecubicalSet, pair):
         yield ExtensionArrow((a, b), (a, t), DPath(a), DPath(b, (e,)))
 
 
-def core_actions(x: PrecubicalSet, pair):
-    """(edge, target, action) of each elementary arrow out of a traced
-    pair, in ``elementary_arrows`` order: an in-edge of the start acts by
-    its prefix row, an out-edge of the end by its ``ext`` row, and the
-    action is None, computing nothing, for an arrow into a one-class
-    pair."""
-    a, b = pair
-    inner = _table(x, a)
-    for e in x.in_edges(a):
-        s = x.edges[e][0]
-        outer = _table(x, s)
-        yield e, (s, b), inner.prefix(x, outer, outer.ext[e][0], b) if outer.count[b] > 1 else None
-    for e in x.out_edges(b):
-        t = x.edges[e][1]
-        yield e, (a, t), inner.ext[e] if inner.count[t] > 1 else None
-
-
 def class_pair_action(x: PrecubicalSet, source, target, k, l) -> tuple:
     """The action [q] -> [alpha.q.beta] of an arrow from ``source`` to
     ``target`` whose prefix alpha has class k and suffix beta class l.

@@ -122,22 +122,6 @@ def smith_normal_form(m) -> SNFResult:
     return SNFResult(u, d, v)
 
 
-def boundary_matrices(x: PrecubicalSet):
-    """d1: edges -> vertices and d2: squares -> edges (columns index the
-    higher cells)."""
-    d1 = [[0] * len(x.edges) for _ in range(x.n_vertices)]
-    for j, (s, t) in enumerate(x.edges):
-        d1[t][j] += 1
-        d1[s][j] -= 1
-    d2 = [[0] * len(x.squares) for _ in range(len(x.edges))]
-    for j, (bottom, right, left, top) in enumerate(x.squares):
-        d2[bottom][j] += 1
-        d2[right][j] += 1
-        d2[left][j] -= 1
-        d2[top][j] -= 1
-    return d1, d2
-
-
 def _rank_d1(x: PrecubicalSet):
     """Rank of d1: the number of union-find merges over the edges.  The
     incidence matrix of a graph has only unit invariant factors."""

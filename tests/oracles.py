@@ -660,12 +660,9 @@ def mat_mul(a, b):
     ]
 
 
-def homology_dense(x):
-    """(betti_0, betti_1, torsion of H1) from dense boundary matrices
-    built here from the cells, ranked by the library's Smith normal form
-    (whose invariants the algebra criterion checks)."""
-    from ditop.zhom import smith_normal_form
-
+def boundary_dense(x):
+    """Dense boundary matrices d1: edges -> vertices and d2: squares ->
+    edges, built from the cells (columns index the higher cells)."""
     d1 = [[0] * len(x.edges) for _ in range(x.n_vertices)]
     for j, (s, t) in enumerate(x.edges):
         d1[s][j] -= 1
@@ -674,6 +671,16 @@ def homology_dense(x):
     for j, square in enumerate(x.squares):
         for e, sign in zip(square, (1, 1, -1, -1)):
             d2[e][j] += sign
+    return d1, d2
+
+
+def homology_dense(x):
+    """(betti_0, betti_1, torsion of H1) from ``boundary_dense``, ranked
+    by the library's Smith normal form (whose invariants the algebra
+    criterion checks)."""
+    from ditop.zhom import smith_normal_form
+
+    d1, d2 = boundary_dense(x)
     rank1 = len(smith_normal_form(d1).diagonal()) if x.edges else 0
     diag2 = smith_normal_form(d2).diagonal() if x.squares else []
     return (x.n_vertices - rank1, len(x.edges) - rank1 - len(diag2),

@@ -10,7 +10,7 @@ import ditop
 
 from ditop.cli import run
 from ditop.cubecore import PrecubicalSet, build_grid_complex, grid_vertex
-from ditop.equivcheck import identity_dmap
+from ditop.equivcheck import dmap_from_vertex_map, identity_dmap
 from ditop.fixtures import PV_SOURCES
 from ditop.natsys import build_natural_system
 
@@ -96,6 +96,30 @@ def test_equiv_refuted(tmp_path, capsys, matchbox, topface):
     assert rep["result"]["counterexample"]["stage"] == "f-class-bijection"
 
 
+def test_equiv_refuted_by_a_lifting_diagram(tmp_path, capsys, seg, wedge):
+    # the wedge's edge 0 -> 1 leads from g's image (0, 0) of (1, 1) into
+    # (0, 1), whose only preimage under g, (0, 2), does not extend (1, 1)
+    files = []
+    for name, text in (
+        ("x.json", seg.to_json()),
+        ("y.json", wedge.to_json()),
+        ("f.json", dmap_from_vertex_map(seg, wedge, [0, 0]).to_json()),
+        ("g.json", dmap_from_vertex_map(wedge, seg, [0, 0, 1]).to_json()),
+    ):
+        p = tmp_path / name
+        p.write_text(text)
+        files.append(str(p))
+    x, y, f, g = files
+    argv = ["equiv", x, y, "--f", f, "--g", g, "--json-only"]
+    assert run(argv) == 0
+    assert _last_json(capsys)["result"] == {
+        "strong": False, "verdict": False, "counterexample": {
+            "stage": "diagram-B", "location": [[0, 1], [0, 1]],
+            "detail": "no source-side preimage arrow commutes"}}
+    assert run(argv + ["--strong"]) == 0
+    assert _last_json(capsys)["result"] == {"strong": True, "verdict": False}
+
+
 def test_dicontractible(pv1_file, capsys):
     assert run(["dicontractible", "--pv", pv1_file]) == 0
     rep = _last_json(capsys)
@@ -124,6 +148,12 @@ def test_dicontractible_computes_homology_once(pv1_file, capsys, monkeypatch):
 def test_ditc_exact(pv1_file, capsys):
     assert run(["ditc", "--pv", pv1_file]) == 0
     assert _last_json(capsys)["result"]["n"] == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_ditc_part_cap_below_one_exit_1(pv1_file, capsys, cap):
+    assert run(["ditc", "--pv", pv1_file, "--cap", cap]) == 1
+    assert "part cap must be at least 1" in capsys.readouterr().err
 
 
 def test_ditc_upper(pv1_file, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from ditop import ditc
 from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma, grid_vertex
 from ditop.ditc import SectionPartition, ditc_exact, ditc_upper, verify_partition
-from ditop.errors import BudgetExceeded
+from ditop.errors import BudgetExceeded, ModelError
 from ditop.fixtures import get_fixture
 from ditop.zhom import is_dicontractible, section_exists
 
@@ -88,6 +88,13 @@ def test_full_grid_is_one():
 def test_part_cap_budget(pv1):
     with pytest.raises(BudgetExceeded):
         ditc_exact(pv1, cap=1)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_part_cap_below_one_is_a_model_error(seg, cap):
+    # a one-part model would otherwise come back with n = 1 > cap
+    with pytest.raises(ModelError, match="at least 1"):
+        ditc_exact(seg, cap=cap)
 
 
 def test_gamma_cap_refused_before_any_class_is_built():

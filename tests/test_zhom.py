@@ -7,7 +7,6 @@ from ditop import zhom
 from ditop.cubecore import PrecubicalSet, build_grid_complex
 from ditop.fixtures import get_fixture
 from ditop.zhom import (
-    boundary_matrices,
     homology_ranks,
     initial_state_upgrade,
     is_contractible_surrogate,
@@ -17,7 +16,7 @@ from ditop.zhom import (
 )
 
 from conftest import ALL_FIXTURES, dag_models, grid_models
-from oracles import det, homology_dense, mat_mul
+from oracles import boundary_dense, det, homology_dense, mat_mul
 
 
 @st.composite
@@ -52,7 +51,7 @@ def test_snf_invariants(m):
 def test_boundary_composition_zero(any_fixture):
     # d1 . d2 = 0
     _, x = any_fixture
-    d1, d2 = boundary_matrices(x)
+    d1, d2 = boundary_dense(x)
     if x.squares:
         prod = mat_mul(d1, d2)
         assert all(v == 0 for row in prod for v in row)
