@@ -188,7 +188,7 @@ def _cmd_ditc(args):
         n, sp = ditc_upper(x)
         mode = "upper"
     else:
-        n, sp = ditc_exact(x, cap=args.cap)
+        n, sp = ditc_exact(x, cap=DEFAULT_PART_CAP if args.cap is None else args.cap)
         mode = "exact"
     result = {
         "mode": mode,
@@ -253,8 +253,11 @@ def build_parser():
 
     sp = subs.add_parser("ditc", help="directed topological complexity")
     _add_model_flags(sp)
-    sp.add_argument("--upper", action="store_true")
-    sp.add_argument("--cap", type=int, default=DEFAULT_PART_CAP)
+    # the part cap bounds the exact search only; a default of None lets
+    # argparse refuse an explicit --cap equal to DEFAULT_PART_CAP too
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--upper", action="store_true")
+    mode.add_argument("--cap", type=int)
     sp.set_defaults(body=_cmd_ditc)
 
     sp = subs.add_parser("fixtures", help="write a built-in example to disk")

@@ -139,12 +139,6 @@ class PrecubicalSet:
             at = t
         return at
 
-    def path_end(self, p: DPath) -> int:
-        at = p.start
-        for e in p.edges:
-            at = self.edges[e][1]
-        return at
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
@@ -236,20 +230,7 @@ def reachable(x: PrecubicalSet, a: int, b: int) -> bool:
     """True iff a monotone edge path a -> b exists."""
     x.check_vertex(a)
     x.check_vertex(b)
-    if a == b:
-        return True
-    seen = {a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        for e in x.out_edges(v):
-            w = x.edges[e][1]
-            if w == b:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+    return b in descendants(x, a)
 
 
 def gamma(x: PrecubicalSet) -> GammaSet:
@@ -325,9 +306,10 @@ def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
 
 
 def concat(x: PrecubicalSet, p: DPath, q: DPath) -> DPath:
-    """Concatenation p * q; endpoints must agree."""
-    if x.path_end(p) != q.start:
+    """Concatenation p * q of two valid paths; endpoints must agree."""
+    if x.check_path(p) != q.start:
         raise ModelError("concat endpoint mismatch")
+    x.check_path(q)
     return DPath(p.start, p.edges + q.edges)
 
 

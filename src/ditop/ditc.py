@@ -49,10 +49,10 @@ class SectionPartition:
         return len(self.parts)
 
 
-def _arrow_table(x: PrecubicalSet, cap=None):
+def _arrow_table(x: PrecubicalSet):
     """Per pair: class count and internal-constraint arrows
     (target pair, action tuple), read from the natural class system."""
-    system = build_natural_system(x, cap)
+    system = build_natural_system(x)
     pairs = system.objects
     counts = dict(zip(pairs, system.counts))
     arrows = {p: [(pairs[i], action) for i, action in out]
@@ -189,7 +189,7 @@ class _Part:
         return {p: 0 for p in self.members} | self.solve()
 
 
-def verify_partition(x: PrecubicalSet, sp: SectionPartition, cap=None) -> bool:
+def verify_partition(x: PrecubicalSet, sp: SectionPartition) -> bool:
     pairs = set(gamma(x))
     seen = set()
     for part in sp.parts:
@@ -201,12 +201,12 @@ def verify_partition(x: PrecubicalSet, sp: SectionPartition, cap=None) -> bool:
     for part in sp.parts:
         for pair in part:
             choice = sp.choices.get(pair)
-            count = trace_classes(x, *pair, cap=cap).count
+            count = trace_classes(x, *pair).count
             if choice is None or not (0 <= choice < count):
                 return False
             for ar in elementary_arrows(x, pair):
                 if ar.target in part:
-                    if extend_class(x, ar, choice, cap=cap) != sp.choices[ar.target]:
+                    if extend_class(x, ar, choice) != sp.choices[ar.target]:
                         return False
     return True
 
@@ -218,9 +218,9 @@ def _partition(parts):
     return SectionPartition(tuple(frozenset(part.members) for part in parts), choices)
 
 
-def ditc_upper(x: PrecubicalSet, cap=None):
+def ditc_upper(x: PrecubicalSet):
     """Greedy bound: repeatedly extract a maximal compatible pair set."""
-    return _greedy(*_arrow_table(x, cap=cap))
+    return _greedy(*_arrow_table(x))
 
 
 def _greedy(pairs, counts, arrows):
@@ -269,7 +269,7 @@ def _branch_and_bound(pairs, counts, arrows, cap, best, witness):
     return best, witness
 
 
-def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP, path_cap=None):
+def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP):
     """Minimal partition size with a verifying witness.
 
     A greedy value of at most 2 is returned as it stands; otherwise
@@ -283,7 +283,7 @@ def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP, path_cap=None):
     if n_pairs > GAMMA_CAP:
         raise BudgetExceeded(
             f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
-    pairs, counts, arrows = _arrow_table(x, cap=path_cap)
+    pairs, counts, arrows = _arrow_table(x)
     best, witness = _greedy(pairs, counts, arrows)
     if best == 1:
         return 1, witness

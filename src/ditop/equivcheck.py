@@ -216,12 +216,12 @@ def map_path(f: DMapData, p: DPath) -> DPath:
     return DPath(f.vertex_map[p.start], edges)
 
 
-def induced_class_map(x, y, f, a, b, cap=None):
+def induced_class_map(x, y, f, a, b):
     """Tuple sending each class id at (a,b) in x to a class id at
     (f(a),f(b)) in y, for a valid dmap f: x -> y."""
-    cs = trace_classes(x, a, b, cap=cap)
+    cs = trace_classes(x, a, b)
     fa = f.vertex_map[a]
-    trace_classes(y, fa, f.vertex_map[b], cap=cap)
+    trace_classes(y, fa, f.vertex_map[b])
     fold = _table(y, fa).fold
     return tuple(fold(0, map_path(f, rep).edges) for rep in cs.representatives)
 
@@ -282,13 +282,13 @@ def _connection_commutes(w, h, forward):
     return True
 
 
-def _stages_1_to_3(x, y, f, g, cap):
+def _stages_1_to_3(x, y, f, g):
     """Stages 1-3 of both checks: dmap validation, class bijections of f
     then g, homotopies of g*f then f*g to the identities.  Returns
     (None, (F, G)), the inverse class maps per own pair, or
-    (EquivFailure, None).  Every pair of both
-    models is traced within ``cap`` once stage 1 has passed, so stage 3
-    reads the tables only."""
+    (EquivFailure, None).  Every pair of both models is traced within
+    the path cap once stage 1 has passed, so stage 3 reads the tables
+    only."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
@@ -298,9 +298,9 @@ def _stages_1_to_3(x, y, f, g, cap):
         vm, inv = m.vertex_map, {}
         for a, b in gamma(own):
             # a one-class pair maps bijectively exactly when its image has one class
-            img = (induced_class_map(own, other, m, a, b, cap=cap)
-                   if trace_classes(own, a, b, cap=cap).count > 1 else (0,))
-            n_target = trace_classes(other, vm[a], vm[b], cap=cap).count
+            img = (induced_class_map(own, other, m, a, b)
+                   if trace_classes(own, a, b).count > 1 else (0,))
+            n_target = trace_classes(other, vm[a], vm[b]).count
             if len(set(img)) != len(img) or len(img) != n_target:
                 return EquivFailure(
                     f"{name}-class-bijection", (a, b),
@@ -342,7 +342,7 @@ def _unlifted(own, other, mv):
     return None
 
 
-def check_dihomotopy_equivalence(x, y, f, g, cap=None):
+def check_dihomotopy_equivalence(x, y, f, g):
     """Class-level equivalence check for the pair (f: x->y, g: y->x).
 
     Returns (True, EquivalenceCertificate) or (False, EquivFailure).
@@ -351,18 +351,18 @@ def check_dihomotopy_equivalence(x, y, f, g, cap=None):
     then diagram families B and C, which by the two lemmas fail exactly
     where a lifting diagram has no preimage.  Families A and D hold.
     """
-    failure, inverses = _stages_1_to_3(x, y, f, g, cap)
+    failure, inverses = _stages_1_to_3(x, y, f, g)
     if failure is not None:
         return False, failure
     for label, own, other, m in (("B", y, x, g), ("C", x, y, f)):
         miss = _unlifted(own, other, m.vertex_map)
         if miss is not None:
             return False, EquivFailure(
-                f"diagram-{label}", miss, "no source-side preimage arrow commutes")
+                f"diagram-{label}", miss, "no preimage pair extends the source")
     return True, EquivalenceCertificate(x, y, f, g, *inverses)
 
 
-def check_strong(x, y, f, g, cap=None) -> bool:
+def check_strong(x, y, f, g) -> bool:
     """Pointwise naturality conditions (a)-(d) on (f, g, F, G).
 
     F and G are the inverses of the induced class maps; a non-bijective
@@ -370,7 +370,7 @@ def check_strong(x, y, f, g, cap=None) -> bool:
     Conditions (a) and (b) hold by lemma 1, and (c) and (d) fail exactly
     where B and C do by lemma 2, so the verdict is the class-level one.
     """
-    return check_dihomotopy_equivalence(x, y, f, g, cap)[0]
+    return check_dihomotopy_equivalence(x, y, f, g)[0]
 
 
 def compose_equivalences(e1: EquivalenceCertificate, e2: EquivalenceCertificate):

@@ -100,15 +100,15 @@ class BisimCounterexample:
     obj: tuple
 
 
-def build_natural_system(x: PrecubicalSet, cap=None) -> NaturalClassSystem:
+def build_natural_system(x: PrecubicalSet) -> NaturalClassSystem:
     """The natural class system of x.  Objects are the reachable pairs in
     ``gamma`` order; the arrows of (a, b) follow ``elementary_arrows``:
     to (s, b) per in-edge s -> a, then to (a, t) per out-edge b -> t.
-    Every pair's dipaths are counted and checked against ``cap`` before
-    any class work."""
+    Every pair's dipaths are counted and checked against the path cap
+    ``cubecore.DEFAULT_PATH_CAP`` before any class work."""
     objects = tuple(gamma(x))
     index = {pair: i for i, pair in enumerate(objects)}
-    tables = whole_tables(x, cap)
+    tables = whole_tables(x)
     counts, arrows = [], []
     for a, b in objects:
         t, in_rows = tables[a]
@@ -412,7 +412,7 @@ def _refine(queue, n_s, counts, arrows, block, members, aut, phi):
                     queue.append(pb)
 
 
-def is_weakly_dicontractible(x: PrecubicalSet, cap=None) -> bool:
+def is_weakly_dicontractible(x: PrecubicalSet) -> bool:
     """Natural class system bisimilar to the trivial one-object system."""
-    verdict, _ = bisimilar(build_natural_system(x, cap=cap), trivial_system())
+    verdict, _ = bisimilar(build_natural_system(x), trivial_system())
     return verdict

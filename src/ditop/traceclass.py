@@ -17,15 +17,17 @@ Least members are prefix-closed (flips keep the length), so each class
 keeps one (edge, class before it) link and representatives are built
 only when asked for.  Tables are cached on the complex; a one-pair query
 grows one only over the vertices it needs, ``whole_tables`` builds all
-of them whole.  Every ``cap`` parameter bounds the number of dipaths of
-a pair, counted by dynamic programming before any class work, and
-defaults to ``cubecore.DEFAULT_PATH_CAP``.
+of them whole.  A pair with more than ``cubecore.DEFAULT_PATH_CAP``
+dipaths, counted by dynamic programming before any class work, is
+refused.  The cap is that one constant, read at each check, with no
+per-call override.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cubecore import DEFAULT_PATH_CAP, DPath, PrecubicalSet, concat, descendants, gamma
+from . import cubecore
+from .cubecore import DPath, PrecubicalSet, concat, descendants, gamma
 from .errors import ModelError, PathCapExceeded
 
 
@@ -47,7 +49,6 @@ class _Table:
         # as tgt(f) * |E| + f in a fixed width, so bytes order is path order
         self.key = {a: (b"",)}
         self.width = (x.n_vertices * len(x.edges)).bit_length() // 8 + 1
-        self.pre = {}  # (a', class of alpha: a' -> a) -> {v: C(a, v) -> C(a', v)}
         self.reps = {}  # v -> representatives
 
     def _todo(self, x, done, v):
@@ -66,16 +67,16 @@ class _Table:
                     stack.append(u)
         return sorted(seen, key=x._rank.__getitem__)
 
-    def classes(self, x, v, cap):
-        """The number of classes at v, refused when more than ``cap``
-        dipaths reach v; they are counted first."""
+    def classes(self, x, v):
+        """The number of classes at v, refused when more than the path
+        cap of dipaths reach v; they are counted first."""
         todo = self._todo(x, self.count, v)
         paths = self.paths
         for w in todo:
             if w not in paths:
                 paths[w] = sum(paths.get(x.edges[e][0], 0) for e in x.in_edges(w))
-        if paths[v] > cap:
-            raise PathCapExceeded((self.a, v), cap)
+        if paths[v] > cubecore.DEFAULT_PATH_CAP:
+            raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
         for w in todo:
             self._glue(x, w)
         return self.count[v]
@@ -155,20 +156,13 @@ class _Table:
             v = x.edges[f][0]
         return DPath(self.a, tuple(reversed(edges)))
 
-    def prefix(self, x, outer, k, v):
-        """The map [q] -> [alpha.q] from C(a, v) to C(outer.a, v), for a
-        prefix alpha: outer.a -> a of class k.  Both tables must be built
-        up to v."""
-        todo = self._todo(x, self.pre.get((outer.a, k), (self.a,)), v)
-        return self.prefix_rows(x, outer, k, todo)[v]
-
-    def prefix_rows(self, x, outer, k, todo):
-        """Those maps at every vertex, filled at the vertices of ``todo``
-        (in topological order) that miss one."""
-        rows = self.pre.setdefault((outer.a, k), {self.a: (k,)})
-        for w in todo:
-            if w in rows:
-                continue
+    def prefix_rows(self, x, outer, k, order):
+        """Per vertex w of ``order``, the whole reach in topological
+        order: the map [q] -> [alpha.q] from C(a, w) to C(outer.a, w),
+        for a prefix alpha: outer.a -> a of class k.  Both tables must
+        be whole."""
+        rows = {self.a: (k,)}
+        for w in order[1:]:
             row = [0] * self.count[w]
             for f in x.in_edges(w):
                 up = rows.get(x.edges[f][0])
@@ -216,10 +210,8 @@ def _table(x: PrecubicalSet, a: int) -> _Table:
     return t
 
 
-def trace_classes(x: PrecubicalSet, a: int, b: int, cap=None) -> ClassSet:
+def trace_classes(x: PrecubicalSet, a: int, b: int) -> ClassSet:
     """Quotient of all dipaths a -> b by elementary square flips."""
-    if cap is None:
-        cap = DEFAULT_PATH_CAP
     t = x._class_cache.get(a)
     n = t.count.get(b) if t is not None else None
     if n is None:
@@ -228,19 +220,21 @@ def trace_classes(x: PrecubicalSet, a: int, b: int, cap=None) -> ClassSet:
         t = _table(x, a)
         if b not in t.reach:
             raise ModelError(f"vertex {b} is not reachable from {a}")
-        n = t.classes(x, b, cap)
-    elif t.paths[b] > cap:
-        raise PathCapExceeded((a, b), cap)
+        n = t.classes(x, b)
+    elif t.paths[b] > cubecore.DEFAULT_PATH_CAP:
+        # a source's own pair is preset with one class: once its table
+        # exists, this is the only check that pair gets
+        raise PathCapExceeded((a, b), cubecore.DEFAULT_PATH_CAP)
     return ClassSet((a, b), n, x)
 
 
-def whole_tables(x: PrecubicalSet, cap=None):
+def whole_tables(x: PrecubicalSet):
     """Per vertex a: its class table glued over its whole reach, and
     (s, prefix rows) of each in-edge s -> a.  Every pair's dipaths are
-    counted first; a refusal names the first pair over ``cap`` in the
-    order (a, b) of ``gamma``, then (s, b) per in-edge of a and (a, t)
-    per out-edge of b."""
-    cap = DEFAULT_PATH_CAP if cap is None else cap
+    counted first; a refusal names the first pair over the path cap in
+    the order (a, b) of ``gamma``, then (s, b) per in-edge of a and
+    (a, t) per out-edge of b."""
+    cap = cubecore.DEFAULT_PATH_CAP
     edges, rank, pairs = x.edges, x._rank.__getitem__, gamma(x)
     tables = []
     for a in range(x.n_vertices):
@@ -269,30 +263,30 @@ def whole_tables(x: PrecubicalSet, cap=None):
     return tables
 
 
-def class_of(x: PrecubicalSet, p: DPath, cap=None) -> int:
+def class_of(x: PrecubicalSet, p: DPath) -> int:
     """Class id of a path within trace_classes(start, end)."""
     end = x.check_path(p)
-    trace_classes(x, p.start, end, cap=cap)
+    trace_classes(x, p.start, end)
     return _table(x, p.start).fold(0, p.edges)
 
 
-def arrow_action(x: PrecubicalSet, arrow: ExtensionArrow, cap=None) -> tuple:
-    """The action of an arrow, tabulated over the classes of its source."""
+def arrow_action(x: PrecubicalSet, arrow: ExtensionArrow) -> tuple:
+    """The action of an arrow, tabulated over the classes of its source:
+    class c goes to the class of alpha.rep(c).beta, one fold on the
+    table of alpha's start."""
     if x.check_path(arrow.alpha) != arrow.source[0] or arrow.alpha.start != arrow.target[0]:
         raise ModelError("arrow prefix does not run target-start -> source-start")
     if arrow.beta.start != arrow.source[1] or x.check_path(arrow.beta) != arrow.target[1]:
         raise ModelError("arrow suffix does not run source-end -> target-end")
-    (a, b), (a2, b2) = arrow.source, arrow.target
-    for pair in (arrow.source, arrow.target, (b, b2)):
-        trace_classes(x, *pair, cap=cap)
-    return class_pair_action(x, arrow.source, arrow.target,
-                             _table(x, a2).fold(0, arrow.alpha.edges),
-                             _table(x, b).fold(0, arrow.beta.edges))
+    source = trace_classes(x, *arrow.source)
+    trace_classes(x, *arrow.target)
+    outer, alpha, beta = _table(x, arrow.alpha.start), arrow.alpha.edges, arrow.beta.edges
+    return tuple([outer.fold(0, alpha + rep.edges + beta) for rep in source.representatives])
 
 
-def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int, cap=None) -> int:
+def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int) -> int:
     """Class of alpha * rep(c) * beta at the target pair."""
-    action = arrow_action(x, arrow, cap)
+    action = arrow_action(x, arrow)
     if not (0 <= c < len(action)):
         raise ModelError(f"class {c} not valid at pair {arrow.source}")
     return action[c]
@@ -313,24 +307,6 @@ def elementary_arrows(x: PrecubicalSet, pair):
     for e in x.out_edges(b):
         t = x.edges[e][1]
         yield ExtensionArrow((a, b), (a, t), DPath(a), DPath(b, (e,)))
-
-
-def class_pair_action(x: PrecubicalSet, source, target, k, l) -> tuple:
-    """The action [q] -> [alpha.q.beta] of an arrow from ``source`` to
-    ``target`` whose prefix alpha has class k and suffix beta class l.
-    It depends on those classes only.  The source, target, prefix and
-    suffix pairs must have been traced."""
-    (a, b), (a2, b2) = source, target
-    inner = _table(x, a)
-    if a2 == a:
-        outer, row = inner, range(inner.count[b])
-    else:
-        outer = _table(x, a2)
-        row = inner.prefix(x, outer, k, b)
-    if b2 == b:
-        return tuple(row)
-    beta = _table(x, b).representatives(x, b2)[l].edges
-    return tuple([outer.fold(c, beta) for c in row])
 
 
 def compose_arrows(x: PrecubicalSet, first: ExtensionArrow, second: ExtensionArrow) -> ExtensionArrow:

@@ -241,24 +241,24 @@ class SectionWitness:
     choices: dict
 
 
-def section_exists(x: PrecubicalSet, cap=None):
+def section_exists(x: PrecubicalSet):
     """Discrete section criterion: every pair in Gamma has exactly one
     class.  Returns (True, SectionWitness) or (False, obstruction pair)."""
     choices = {}
     for pair in gamma(x):
-        cs = trace_classes(x, *pair, cap=cap)
+        cs = trace_classes(x, *pair)
         if cs.count != 1:
             return False, pair
         choices[pair] = 0
     return True, SectionWitness(choices)
 
 
-def is_dicontractible(x: PrecubicalSet, cap=None) -> bool:
-    ok, _ = section_exists(x, cap=cap)
+def is_dicontractible(x: PrecubicalSet) -> bool:
+    ok, _ = section_exists(x)
     return is_contractible_surrogate(x) and ok
 
 
-def initial_state_upgrade(x: PrecubicalSet, cap=None) -> bool:
+def initial_state_upgrade(x: PrecubicalSet) -> bool:
     """Dicontractibility via an initial state: some vertex reaches every
     vertex, and the section criterion holds."""
     pairs = gamma(x)
@@ -268,5 +268,5 @@ def initial_state_upgrade(x: PrecubicalSet, cap=None) -> bool:
     )
     if not has_initial:
         return False
-    ok, _ = section_exists(x, cap=cap)
+    ok, _ = section_exists(x)
     return ok

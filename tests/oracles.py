@@ -175,30 +175,20 @@ def path_count_dp(x, a, b):
     return count[b]
 
 
-def elementary_actions(x, pair, cap=None):
+def elementary_actions(x, pair):
     """(target, action) of each elementary arrow out of a pair, in
-    ``elementary_arrows`` order, read from the class tables: an in-edge
-    of the start acts by its prefix row, an out-edge of the end by its
-    ``ext`` row."""
-    from ditop.traceclass import _table, trace_classes
+    ``elementary_arrows`` order, each by ``arrow_action``: a fold of
+    alpha.rep.beta per class, with no prefix rows."""
+    from ditop.traceclass import arrow_action, elementary_arrows
 
-    a, b = pair
-    trace_classes(x, a, b, cap=cap)
-    inner = _table(x, a)
-    for e in x.in_edges(a):
-        s = x.edges[e][0]
-        trace_classes(x, s, b, cap=cap)
-        outer = _table(x, s)
-        yield (s, b), inner.prefix(x, outer, outer.ext[e][0], b)
-    for e in x.out_edges(b):
-        t = x.edges[e][1]
-        trace_classes(x, a, t, cap=cap)
-        yield (a, t), inner.ext[e]
+    for arrow in elementary_arrows(x, pair):
+        yield arrow.target, arrow_action(x, arrow)
 
 
-def natural_system_reference(x, cap=None):
+def natural_system_reference(x):
     """The natural class system built pair by pair: one ``trace_classes``
-    per object and per arrow target, each checking its own cap."""
+    per object and one ``arrow_action`` per arrow, each checking the
+    path cap of the pairs it traces."""
     from ditop.cubecore import gamma
     from ditop.natsys import NaturalClassSystem
     from ditop.traceclass import trace_classes
@@ -208,8 +198,8 @@ def natural_system_reference(x, cap=None):
     counts = []
     arrows = []
     for pair in objects:
-        counts.append(trace_classes(x, *pair, cap=cap).count)
-        arrows.append(tuple((index[t], act) for t, act in elementary_actions(x, pair, cap)))
+        counts.append(trace_classes(x, *pair).count)
+        arrows.append(tuple((index[t], act) for t, act in elementary_actions(x, pair)))
     return NaturalClassSystem(objects, tuple(counts), tuple(arrows))
 
 

@@ -115,7 +115,7 @@ def test_equiv_refuted_by_a_lifting_diagram(tmp_path, capsys, seg, wedge):
     assert _last_json(capsys)["result"] == {
         "strong": False, "verdict": False, "counterexample": {
             "stage": "diagram-B", "location": [[0, 1], [0, 1]],
-            "detail": "no source-side preimage arrow commutes"}}
+            "detail": "no preimage pair extends the source"}}
     assert run(argv + ["--strong"]) == 0
     assert _last_json(capsys)["result"] == {"strong": True, "verdict": False}
 
@@ -154,6 +154,14 @@ def test_ditc_exact(pv1_file, capsys):
 def test_ditc_part_cap_below_one_exit_1(pv1_file, capsys, cap):
     assert run(["ditc", "--pv", pv1_file, "--cap", cap]) == 1
     assert "part cap must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "6"])
+def test_ditc_upper_refuses_a_part_cap(pv1_file, capsys, cap):
+    # the part cap bounds the exact search only; "6" is the default value
+    for argv in (["--upper", "--cap", cap], ["--cap", cap, "--upper"]):
+        assert run(["ditc", "--pv", pv1_file, *argv]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_ditc_upper(pv1_file, capsys):

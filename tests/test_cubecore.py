@@ -155,6 +155,22 @@ def test_concat_checks_endpoints(seg):
     assert q == p
 
 
+@pytest.mark.parametrize("p, q", [
+    (DPath(0, (99,)), DPath(3)),
+    (DPath(0, (-1,)), DPath(3)),
+    (DPath(0, (3,)), DPath(3)),
+    (DPath(0, (0,)), DPath(2, (99,))),
+    (DPath(0, (0,)), DPath(2, (2,))),
+])
+def test_concat_rejects_invalid_paths(p, q):
+    # on the 1x1 grid, edge 0 runs 0 -> 2, edge 2 runs 1 -> 3 and edge 3
+    # runs 2 -> 3: unknown, negative and gapped edges on either side
+    x = build_grid_complex((1, 1))
+    assert [x.edges[e] for e in (0, 2, 3)] == [(0, 2), (1, 3), (2, 3)]
+    with pytest.raises(ModelError):
+        concat(x, p, q)
+
+
 def test_check_path_rejects_gaps(pv1):
     with pytest.raises(ModelError, match="consecutive"):
         bad = DPath(0, (0, 0))

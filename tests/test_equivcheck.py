@@ -274,7 +274,7 @@ def test_diagram_failures_pinned(x, y, f_vm, g_vm, stage, location):
     ok, failure = check_dihomotopy_equivalence(x, y, f, g)
     assert not ok
     assert failure == EquivFailure(
-        stage, location, "no source-side preimage arrow commutes")
+        stage, location, "no preimage pair extends the source")
     assert (False, (stage, location)) == equiv_by_paths(x, y, f, g)
 
 
@@ -287,7 +287,7 @@ def test_family_b_is_reported_before_c():
     ok, failure = check_dihomotopy_equivalence(x, x, f, f)
     assert not ok
     assert failure == EquivFailure(
-        "diagram-B", ((2, 1), (2, 1)), "no source-side preimage arrow commutes")
+        "diagram-B", ((2, 1), (2, 1)), "no preimage pair extends the source")
     assert (False, ("diagram-B", ((2, 1), (2, 1)))) == equiv_by_paths(x, x, f, f)
 
 
@@ -443,7 +443,7 @@ def test_strong_lift_failure_pinned():
     y = get_fixture("wedge")
     f = dmap_from_vertex_map(x, y, [0, 0])
     g = dmap_from_vertex_map(y, x, [0, 0, 1])
-    failure, _ = equivcheck._stages_1_to_3(x, y, f, g, None)
+    failure, _ = equivcheck._stages_1_to_3(x, y, f, g)
     assert failure is None
     assert not check_strong(x, y, f, g)
     assert not check_strong(y, x, g, f)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ditop import cubecore
 from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma
 from ditop.errors import BudgetExceeded, PathCapExceeded
 from ditop.fixtures import get_fixture
@@ -303,11 +304,20 @@ def test_colours_match_the_jacobi_refinement(models):
     assert got == {frozenset(c) for c in want.values()}
 
 
+def _under_cap(cap, call, *args):
+    """``call(*args)`` with the path cap lowered to ``cap`` (None keeps
+    the default), or the pair and cap of its refusal."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(cubecore, "DEFAULT_PATH_CAP", cap)
+        try:
+            return call(*args)
+        except PathCapExceeded as exc:
+            return exc.pair, exc.cap
+
+
 def _system_or_refusal(build, x, cap):
-    try:
-        return repr(build(x, cap))
-    except PathCapExceeded as exc:
-        return exc.pair, exc.cap
+    return _under_cap(cap, lambda: repr(build(x)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,10 +333,7 @@ def test_natural_system_matches_the_pair_reference(x, data):
     # drawn without gamma, so these tables find their reach by search
     for a, b in data.draw(st.lists(st.sampled_from(sorted(closure_pairs(x))), max_size=3)
                           if x.n_vertices else st.just([])):
-        try:
-            trace_classes(x, a, b, cap=data.draw(st.one_of(st.none(), st.integers(0, 30))))
-        except PathCapExceeded:
-            pass
+        _under_cap(data.draw(st.one_of(st.none(), st.integers(0, 30))), trace_classes, x, a, b)
     assert _system_or_refusal(build_natural_system, x, cap) == want
 
 

@@ -101,7 +101,7 @@ def test_elementary_arrows_shape(pv1):
         assert ar.source == pair
         assert len(ar.alpha.edges) + len(ar.beta.edges) == 1
         # prefix runs into the source start, suffix out of the source end
-        assert pv1.path_end(ar.alpha) == ar.target[0] or ar.alpha.start == ar.target[0]
+        assert pv1.check_path(ar.alpha) == ar.target[0] or ar.alpha.start == ar.target[0]
 
 
 def test_extend_class_functorial(pv1):
@@ -122,15 +122,18 @@ def test_compose_arrows_endpoint_check(pv1):
 
 
 def test_cached_classes_respect_a_smaller_cap():
-    # the cached set holds 70 paths; a cap of 10 must refuse it as a
-    # cold model would, not return the cached answer
+    # the cached set holds 70 paths; a cap lowered to 10 must refuse it
+    # as a cold model would, not return the cached answer
     x = build_grid_complex((4, 4))
     top = x.n_vertices - 1
     assert trace_classes(x, 0, top).count == 1
-    with pytest.raises(PathCapExceeded) as exc:
-        trace_classes(x, 0, top, cap=10)
-    assert exc.value.pair == (0, top)
-    assert trace_classes(x, 0, top, cap=70).count == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubecore, "DEFAULT_PATH_CAP", 10)
+        with pytest.raises(PathCapExceeded) as exc:
+            trace_classes(x, 0, top)
+        assert exc.value.pair == (0, top)
+        mp.setattr(cubecore, "DEFAULT_PATH_CAP", 70)
+        assert trace_classes(x, 0, top).count == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,13 +176,14 @@ def test_cap_refuses_exactly_above_the_path_count(x, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cubecore, "enumerate_dpaths", no_enumeration)
+        mp.setattr(cubecore, "DEFAULT_PATH_CAP", k)
         for a, b in gamma(x):
             if path_count_dp(x, a, b) > k:
                 with pytest.raises(PathCapExceeded) as exc:
-                    trace_classes(x, a, b, cap=k)
+                    trace_classes(x, a, b)
                 assert (exc.value.pair, exc.value.cap) == ((a, b), k)
             else:
-                assert trace_classes(x, a, b, cap=k).count >= 1
+                assert trace_classes(x, a, b).count >= 1
 
 
 def test_classes_of_a_long_chain():
