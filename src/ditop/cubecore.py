@@ -76,6 +76,9 @@ class PrecubicalSet:
         for s, t in self.edges:
             if not (0 <= s < self.n_vertices and 0 <= t < self.n_vertices):
                 raise ModelError(f"edge ({s},{t}) has an unknown endpoint")
+        for v in self.labels:
+            if v not in range(self.n_vertices):
+                raise ModelError(f"label for an unknown vertex {v}")
         for sq in self.squares:
             if len(sq) != 4:
                 raise ModelError(f"square {sq} must list 4 boundary edges")

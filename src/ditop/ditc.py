@@ -205,9 +205,9 @@ def verify_partition(x: PrecubicalSet, sp: SectionPartition) -> bool:
             if choice is None or not (0 <= choice < count):
                 return False
             for ar in elementary_arrows(x, pair):
-                if ar.target in part:
-                    if extend_class(x, ar, choice) != sp.choices[ar.target]:
-                        return False
+                # a target without a choice fails here or at its own turn
+                if ar.target in part and extend_class(x, ar, choice) != sp.choices.get(ar.target):
+                    return False
     return True
 
 
@@ -220,11 +220,11 @@ def _partition(parts):
 
 def ditc_upper(x: PrecubicalSet):
     """Greedy bound: repeatedly extract a maximal compatible pair set."""
-    return _greedy(*_arrow_table(x))
+    pairs, counts, arrows = _arrow_table(x)
+    return _greedy(pairs, counts, *_core_arrows(counts, arrows))
 
 
-def _greedy(pairs, counts, arrows):
-    succ, pred = _core_arrows(counts, arrows)
+def _greedy(pairs, counts, succ, pred):
     remaining = pairs
     parts = []
     while remaining:
@@ -238,12 +238,11 @@ def _greedy(pairs, counts, arrows):
     return len(parts), _partition(parts)
 
 
-def _branch_and_bound(pairs, counts, arrows, cap, best, witness):
+def _branch_and_bound(pairs, counts, succ, pred, cap, best, witness):
     """Improve on an incumbent of 3 or more parts: assign pairs in
     most-constrained-first order to incremental parts, a pair's next
     part only after the search under its previous one is done."""
     order = sorted(pairs, key=lambda p: (-counts[p], p))
-    succ, pred = _core_arrows(counts, arrows)
     parts = [_Part(counts, succ, pred) for _ in range(min(cap, best))]
     placed = []  # part of order[j] for each placed j
     used = [0]  # parts in use after placing order[:j]
@@ -284,11 +283,12 @@ def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP):
         raise BudgetExceeded(
             f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
     pairs, counts, arrows = _arrow_table(x)
-    best, witness = _greedy(pairs, counts, arrows)
+    succ, pred = _core_arrows(counts, arrows)
+    best, witness = _greedy(pairs, counts, succ, pred)
     if best == 1:
         return 1, witness
     if best > 2:
-        best, witness = _branch_and_bound(pairs, counts, arrows, cap, best, witness)
+        best, witness = _branch_and_bound(pairs, counts, succ, pred, cap, best, witness)
     if best > cap:
         raise BudgetExceeded(
             f"no partition within the part cap {cap}; best bound {best}")

@@ -6,7 +6,9 @@ class ModelError(ValueError):
 
 
 class PathCapExceeded(RuntimeError):
-    """Dipath enumeration for a pair exceeded the configured cap.
+    """A pair has more dipaths than the path cap allows: the class
+    tables' ``cubecore.DEFAULT_PATH_CAP``, or the ``cap`` of
+    ``enumerate_dpaths``.
 
     Carries the offending endpoint pair so callers can report it.
     """

@@ -14,13 +14,16 @@ alpha follows by naturality: ``[alpha.q.f] = ext_f([alpha.q])``.
 
 Class ids follow the lexicographically least member of each class.
 Least members are prefix-closed (flips keep the length), so each class
-keeps one (edge, class before it) link and representatives are built
-only when asked for.  Tables are cached on the complex; a one-pair query
-grows one only over the vertices it needs, ``whole_tables`` builds all
-of them whole.  A pair with more than ``cubecore.DEFAULT_PATH_CAP``
-dipaths, counted by dynamic programming before any class work, is
-refused.  The cap is that one constant, read at each check, with no
-per-call override.
+keeps its least member as key bytes, a least key before it plus one
+fixed-width chunk per edge, and representatives are decoded from the
+keys only when asked for.  Tables are cached on the complex; a one-pair
+query glues one only over the vertices it needs, ``whole_tables`` glues
+all of them whole.  A table counts the dipaths to every vertex of its
+reach by dynamic programming when it is made, and a pair with more than
+``cubecore.DEFAULT_PATH_CAP`` dipaths is refused before any class work:
+a one-pair query checks its own pair, ``whole_tables`` every pair in
+``gamma`` order.  The cap is that one constant, read at each check,
+with no per-call override.
 """
 from __future__ import annotations
 
@@ -41,62 +44,56 @@ class _Table:
         self.a = a
         # once gamma is known, each source's reach is read from it
         self.reach = descendants(x, a) if x._gamma is None else x._gamma.reach(a)
-        self.paths = {a: 1}  # v -> number of dipaths a -> v
+        self.order = sorted(self.reach, key=x._rank.__getitem__)  # a first
+        paths = self.paths = {a: 1}  # v -> number of dipaths a -> v
+        for w in self.order[1:]:
+            paths[w] = sum(paths.get(x.edges[e][0], 0) for e in x.in_edges(w))
         self.count = {a: 1}  # v -> number of classes
         self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
-        self.link = {a: (None,)}  # v -> per class: (f, class at src f) of its least member
         # v -> per class: its least member as bytes, each edge f written
         # as tgt(f) * |E| + f in a fixed width, so bytes order is path order
         self.key = {a: (b"",)}
         self.width = (x.n_vertices * len(x.edges)).bit_length() // 8 + 1
         self.reps = {}  # v -> representatives
 
-    def _todo(self, x, done, v):
-        """Vertices between a and v missing from ``done``, in topological
-        order; ``done`` holds every vertex between a and each of its own."""
-        if v in done:
+    def _todo(self, x, v):
+        """Vertices between a and v without classes yet, in topological
+        order; a vertex with classes has them at every vertex before it."""
+        count, reach = self.count, self.reach
+        if v in count:
             return ()
-        reach = self.reach
         seen = {v}
         stack = [v]
         while stack:
             for e in x.in_edges(stack.pop()):
                 u = x.edges[e][0]
-                if u in reach and u not in done and u not in seen:
+                if u in reach and u not in count and u not in seen:
                     seen.add(u)
                     stack.append(u)
         return sorted(seen, key=x._rank.__getitem__)
 
     def classes(self, x, v):
         """The number of classes at v, refused when more than the path
-        cap of dipaths reach v; they are counted first."""
-        todo = self._todo(x, self.count, v)
-        paths = self.paths
-        for w in todo:
-            if w not in paths:
-                paths[w] = sum(paths.get(x.edges[e][0], 0) for e in x.in_edges(w))
-        if paths[v] > cubecore.DEFAULT_PATH_CAP:
+        cap of dipaths reach v."""
+        if self.paths[v] > cubecore.DEFAULT_PATH_CAP:
             raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
-        for w in todo:
+        for w in self._todo(x, v):
             self._glue(x, w)
         return self.count[v]
 
     def _glue(self, x, v):
         """Classes at v from those of its in-neighbours, glued by flips."""
         reach, count, ext, flips, edges = self.reach, self.count, self.ext, x._flips, x.edges
-        order = v * len(edges)
-        members = []  # (f, class at src f)
-        cand = []  # key of the member's least path
+        head = v * len(edges)
+        cand = []  # per member (f, class at src f): its least path's key
         base = {}  # in-edge f -> index of its first member
         for f in x.in_edges(v):
             u = edges[f][0]
             if u in reach:
-                base[f] = len(members)
-                tail = (order + f).to_bytes(self.width, "big")
-                for c, k in enumerate(self.key[u]):
-                    members.append((f, c))
-                    cand.append(k + tail)
-        adj = [[] for _ in members]
+                base[f] = len(cand)
+                tail = (head + f).to_bytes(self.width, "big")
+                cand.extend([k + tail for k in self.key[u]])
+        adj = [[] for _ in cand]
         for e2, i0 in base.items():
             for e1 in x.in_edges(edges[e2][0]):
                 pair = (e1, e2)
@@ -110,7 +107,7 @@ class _Table:
                     for i, j in zip(ext[e1], ext[alt[0]]):
                         adj[i0 + i].append(j0 + j)
                         adj[j0 + j].append(i0 + i)
-        label = [-1] * len(members)
+        label = [-1] * len(cand)
         least = []  # per component: its least member
         for i, nbrs in enumerate(adj):
             if label[i] < 0:
@@ -127,7 +124,6 @@ class _Table:
         for c, i in enumerate(ranked):
             cid[label[i]] = c
         count[v] = len(ranked)
-        self.link[v] = tuple([members[i] for i in ranked])
         self.key[v] = tuple([cand[i] for i in ranked])
         for f, i in base.items():
             ext[f] = tuple([cid[c] for c in label[i:i + count[edges[f][0]]]])
@@ -141,28 +137,22 @@ class _Table:
         return c
 
     def representatives(self, x, v):
-        """The least member of each class at v, rebuilt from the links."""
+        """The least member of each class at v, decoded from its key."""
         reps = self.reps.get(v)
         if reps is None:
-            reps = self.reps[v] = tuple(
-                self._least(x, v, c) for c in range(self.count[v]))
+            w, m = self.width, len(x.edges)
+            reps = self.reps[v] = tuple([
+                DPath(self.a, tuple([int.from_bytes(k[i:i + w], "big") % m
+                                     for i in range(0, len(k), w)]))
+                for k in self.key[v]])
         return reps
 
-    def _least(self, x, v, c):
-        edges = []
-        while v != self.a:
-            f, c = self.link[v][c]
-            edges.append(f)
-            v = x.edges[f][0]
-        return DPath(self.a, tuple(reversed(edges)))
-
-    def prefix_rows(self, x, outer, k, order):
-        """Per vertex w of ``order``, the whole reach in topological
-        order: the map [q] -> [alpha.q] from C(a, w) to C(outer.a, w),
-        for a prefix alpha: outer.a -> a of class k.  Both tables must
-        be whole."""
+    def prefix_rows(self, x, outer, k):
+        """Per vertex w of the reach: the map [q] -> [alpha.q] from
+        C(a, w) to C(outer.a, w), for a prefix alpha: outer.a -> a of
+        class k.  Both tables must be whole."""
         rows = {self.a: (k,)}
-        for w in order[1:]:
+        for w in self.order[1:]:
             row = [0] * self.count[w]
             for f in x.in_edges(w):
                 up = rows.get(x.edges[f][0])
@@ -212,55 +202,36 @@ def _table(x: PrecubicalSet, a: int) -> _Table:
 
 def trace_classes(x: PrecubicalSet, a: int, b: int) -> ClassSet:
     """Quotient of all dipaths a -> b by elementary square flips."""
-    t = x._class_cache.get(a)
-    n = t.count.get(b) if t is not None else None
-    if n is None:
-        x.check_vertex(a)
-        x.check_vertex(b)
-        t = _table(x, a)
-        if b not in t.reach:
-            raise ModelError(f"vertex {b} is not reachable from {a}")
-        n = t.classes(x, b)
-    elif t.paths[b] > cubecore.DEFAULT_PATH_CAP:
-        # a source's own pair is preset with one class: once its table
-        # exists, this is the only check that pair gets
-        raise PathCapExceeded((a, b), cubecore.DEFAULT_PATH_CAP)
-    return ClassSet((a, b), n, x)
+    x.check_vertex(a)
+    x.check_vertex(b)
+    t = _table(x, a)
+    if b not in t.reach:
+        raise ModelError(f"vertex {b} is not reachable from {a}")
+    return ClassSet((a, b), t.classes(x, b), x)
 
 
 def whole_tables(x: PrecubicalSet):
     """Per vertex a: its class table glued over its whole reach, and
-    (s, prefix rows) of each in-edge s -> a.  Every pair's dipaths are
-    counted first; a refusal names the first pair over the path cap in
-    the order (a, b) of ``gamma``, then (s, b) per in-edge of a and
-    (a, t) per out-edge of b."""
+    (s, prefix rows) of each in-edge s -> a.  A refusal names the first
+    pair of ``gamma`` over the path cap, before any class is glued."""
     cap = cubecore.DEFAULT_PATH_CAP
-    edges, rank, pairs = x.edges, x._rank.__getitem__, gamma(x)
-    tables = []
-    for a in range(x.n_vertices):
-        t = _table(x, a)
-        order = sorted(t.reach, key=rank)
-        for w in order:
-            if w not in t.paths:
-                t.paths[w] = sum(t.paths.get(edges[e][0], 0) for e in x.in_edges(w))
-        tables.append((t, order))
-    if any(max(t.paths.values()) > cap for t, _ in tables):
-        for a, b in pairs:
-            for s, v in ([(a, b)] + [(edges[e][0], b) for e in x.in_edges(a)]
-                         + [(a, edges[e][1]) for e in x.out_edges(b)]):
-                if tables[s][0].paths[v] > cap:
-                    raise PathCapExceeded((s, v), cap)
-    for t, order in tables:
-        for w in order:
+    pairs = gamma(x)  # first, so that new tables read their reach from it
+    tables = [_table(x, a) for a in range(x.n_vertices)]
+    for a, b in pairs:
+        if tables[a].paths[b] > cap:
+            raise PathCapExceeded((a, b), cap)
+    for t in tables:
+        for w in t.order:
             if w not in t.count:
                 t._glue(x, w)
-    for a, (t, order) in enumerate(tables):
+    whole = []
+    for t in tables:
         in_rows = []
-        for e in x.in_edges(a):
-            outer = tables[edges[e][0]][0]
-            in_rows.append((outer.a, t.prefix_rows(x, outer, outer.ext[e][0], order)))
-        tables[a] = t, in_rows
-    return tables
+        for e in x.in_edges(t.a):
+            outer = tables[x.edges[e][0]]
+            in_rows.append((outer.a, t.prefix_rows(x, outer, outer.ext[e][0])))
+        whole.append((t, in_rows))
+    return whole
 
 
 def class_of(x: PrecubicalSet, p: DPath) -> int:

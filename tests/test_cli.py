@@ -317,6 +317,8 @@ MALFORMED_COMPLEXES = {
     "label key not a vertex": {"vertices": 2, "edges": [[0, 1]],
                                "labels": {"a": "x"}},
     "label not a string": {"vertices": 2, "edges": [[0, 1]], "labels": {"0": 1}},
+    "label for an unknown vertex": {"vertices": 2, "edges": [[0, 1]],
+                                    "labels": {"7": "x"}},
     "coords not a list": {"vertices": 2, "edges": [[0, 1]], "coords": 3},
     "coords of strings": {"vertices": 2, "edges": [[0, 1]],
                           "coords": [["a"], ["b"]]},

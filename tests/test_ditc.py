@@ -67,6 +67,15 @@ def test_single_part_fails_on_pv1(pv1):
     assert not verify_partition(pv1, sp)
 
 
+def test_a_missing_choice_is_refused_not_raised(pv1):
+    # the arrow check reads a target's choice, which may come before the
+    # target's own turn in the part's order
+    pairs = frozenset(gamma(pv1).pairs)
+    for missing in pairs:
+        choices = {p: 0 for p in pairs if p != missing}
+        assert not verify_partition(pv1, SectionPartition((pairs,), choices))
+
+
 def test_partition_must_cover(seg):
     sp = SectionPartition((frozenset({(0, 0)}),), {(0, 0): 0})
     assert not verify_partition(seg, sp)

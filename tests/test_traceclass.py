@@ -6,6 +6,7 @@ from ditop.cubecore import (
     DPath, PrecubicalSet, build_grid_complex, enumerate_dpaths, gamma, grid_vertex)
 from ditop.errors import ModelError, PathCapExceeded
 from ditop.traceclass import (
+    _table,
     arrow_action,
     class_of,
     compose_arrows,
@@ -16,7 +17,7 @@ from ditop.traceclass import (
 )
 
 from conftest import dag_models, grid_models
-from oracles import flip_class_count, flip_classes, path_count_dp
+from oracles import closure_pairs, flip_class_count, flip_classes, path_count_dp
 
 MODELS = st.one_of(grid_models(), dag_models())
 
@@ -184,6 +185,24 @@ def test_cap_refuses_exactly_above_the_path_count(x, k):
                 assert (exc.value.pair, exc.value.cap) == ((a, b), k)
             else:
                 assert trace_classes(x, a, b).count >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(MODELS, st.data())
+def test_a_table_counts_the_dipaths_to_its_whole_reach(x, data):
+    # on a cold copy, and after one-pair queries glued part of the tables
+    def check(w, sources):
+        for a in sources:
+            t = _table(w, a)
+            assert set(t.paths) == t.reach
+            assert all(t.paths[v] == path_count_dp(w, a, v) for v in t.reach)
+
+    sources = st.lists(st.integers(0, x.n_vertices - 1), min_size=1, max_size=3)
+    check(PrecubicalSet.from_json(x.to_json()), data.draw(sources))
+    queries = data.draw(st.lists(st.sampled_from(sorted(closure_pairs(x))), max_size=3))
+    for a, b in queries:
+        trace_classes(x, a, b)
+    check(x, [a for a, _ in queries] + data.draw(sources))
 
 
 def test_classes_of_a_long_chain():
