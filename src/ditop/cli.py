@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .cubecore import PrecubicalSet, build_grid_complex
-from .ditc import DEFAULT_PART_CAP, ditc_exact, ditc_upper
+from .ditc import ditc_exact, ditc_upper
 from .equivcheck import DMapData, check_dihomotopy_equivalence, check_strong
 from .errors import BudgetExceeded, ModelError, PathCapExceeded
 from .fixtures import write_fixture
@@ -84,7 +84,7 @@ def _path_json(p):
 
 
 def _cmd_parse(args):
-    with open(args.models[0][1]) as fh:
+    with open(args.pv) as fh:
         text = fh.read()
     prog = parse_pv(text)
     dims, boxes = compile_pv(prog)
@@ -188,7 +188,7 @@ def _cmd_ditc(args):
         n, sp = ditc_upper(x)
         mode = "upper"
     else:
-        n, sp = ditc_exact(x, cap=DEFAULT_PART_CAP if args.cap is None else args.cap)
+        n, sp = ditc_exact(x)
         mode = "exact"
     result = {
         "mode": mode,
@@ -222,7 +222,7 @@ def build_parser():
                                      parents=[common], **kw))
 
     sp = subs.add_parser("parse", help="parse a PV program and report its model")
-    _add_model_flags(sp)
+    sp.add_argument("--pv", required=True, metavar="FILE", help="PV program source")
     sp.set_defaults(body=_cmd_parse)
 
     sp = subs.add_parser("classes", help="dihomotopy classes of one pair")
@@ -253,11 +253,7 @@ def build_parser():
 
     sp = subs.add_parser("ditc", help="directed topological complexity")
     _add_model_flags(sp)
-    # the part cap bounds the exact search only; a default of None lets
-    # argparse refuse an explicit --cap equal to DEFAULT_PART_CAP too
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--upper", action="store_true")
-    mode.add_argument("--cap", type=int)
+    sp.add_argument("--upper", action="store_true")
     sp.set_defaults(body=_cmd_ditc)
 
     sp = subs.add_parser("fixtures", help="write a built-in example to disk")

@@ -5,17 +5,19 @@ pairs such that each part admits a choice of one dihomotopy class per
 pair, compatible with every elementary extension arrow internal to the
 part.  A single part exists exactly when every pair has a unique class.
 
-Only the multi-class core of a part is ever searched.  A pair with one
-class always takes class 0, and an arrow into it always holds.  Within
-a part, each arrow from a one-class pair into a multi-class pair just
-fixes the class of its target, so whether a part is feasible is a
-question about its multi-class pairs alone, under those fixes.  A part
-under construction keeps a witness choice on its core.  A new pair that
-the witness already admits joins at once; the core is solved again,
-with an undo trail, only when the witness does not extend.  The solver
-decides pairs most classes first, then by pair, trying the lowest class
-first, so the choice it returns is the least compatible one in that
-order, whichever way the part was found.
+The search reads ``build_natural_system`` as it stands: parts hold
+object indices, in ``gamma`` order, and pairs come back only in the
+returned ``SectionPartition``.  Only the multi-class core of a part is
+ever searched.  A pair with one class always takes class 0, and an arrow
+into it always holds.  Within a part, each arrow from a one-class pair
+into a multi-class pair just fixes the class of its target, so whether a
+part is feasible is a question about its multi-class pairs alone, under
+those fixes.  A part under construction keeps a witness choice on its
+core.  A new pair that the witness already admits joins at once; the
+core is solved again, with an undo trail, only when the witness does not
+extend.  The solver decides pairs most classes first, then by pair,
+trying the lowest class first, so the choice it returns is the least
+compatible one in that order, whichever way the part was found.
 
 The greedy bound is exact when it is at most 2.  A subset of a
 feasible part is feasible, so greedy takes every pair into its first
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cubecore import PrecubicalSet, gamma
-from .errors import BudgetExceeded, ModelError
+from .errors import BudgetExceeded
 from .natsys import build_natural_system
 from .traceclass import elementary_arrows, extend_class, trace_classes
 
@@ -50,24 +52,15 @@ class SectionPartition:
 
 
 def _arrow_table(x: PrecubicalSet):
-    """Per pair: class count and internal-constraint arrows
-    (target pair, action tuple), read from the natural class system."""
+    """Pairs, class counts, and per object the arrows into multi-class
+    objects by source and by target, the latter with the preimages of
+    each class; an arrow into a one-class object always holds."""
     system = build_natural_system(x)
-    pairs = system.objects
-    counts = dict(zip(pairs, system.counts))
-    arrows = {p: [(pairs[i], action) for i, action in out]
-              for p, out in zip(pairs, system.arrows)}
-    return pairs, counts, arrows
-
-
-def _core_arrows(counts, arrows):
-    """The arrows into multi-class pairs, by source and by target, the
-    latter with the preimages of each class under the action; an arrow
-    into a one-class pair always holds and is dropped."""
-    succ = {p: [] for p in counts}
-    pred = {p: [] for p in counts if counts[p] > 1}
+    counts = system.counts
+    succ = [[] for _ in counts]
+    pred = [[] for _ in counts]
     preimages = {}
-    for p, out in arrows.items():
+    for p, out in enumerate(system.arrows):
         for q, action in out:
             if counts[q] > 1:
                 if action not in preimages:
@@ -76,14 +69,15 @@ def _core_arrows(counts, arrows):
                         preimages[action].setdefault(d, []).append(c)
                 succ[p].append((q, action))
                 pred[q].append((p, action, preimages[action]))
-    return succ, pred
+    return system.objects, counts, succ, pred
 
 
 class _Part:
     """A feasible part under construction, with a witness class for each
-    of its multi-class members.  ``add`` takes a pair only when the part
-    stays feasible.  ``remove`` keeps the witness of the other members:
-    a choice compatible on a part is compatible on any subset of it."""
+    of its multi-class members, all object indices.  ``add`` takes an
+    object only when the part stays feasible.  ``remove`` keeps the
+    witness of the other members: a choice compatible on a part is
+    compatible on any subset of it."""
 
     def __init__(self, counts, succ, pred):
         self.counts, self.succ, self.pred = counts, succ, pred
@@ -211,21 +205,19 @@ def verify_partition(x: PrecubicalSet, sp: SectionPartition) -> bool:
     return True
 
 
-def _partition(parts):
-    choices = {}
-    for part in parts:
-        choices.update(part.choices())
-    return SectionPartition(tuple(frozenset(part.members) for part in parts), choices)
+def _partition(pairs, parts):
+    choices = {pairs[p]: c for part in parts for p, c in part.choices().items()}
+    return SectionPartition(
+        tuple(frozenset(pairs[p] for p in part.members) for part in parts), choices)
 
 
 def ditc_upper(x: PrecubicalSet):
     """Greedy bound: repeatedly extract a maximal compatible pair set."""
-    pairs, counts, arrows = _arrow_table(x)
-    return _greedy(pairs, counts, *_core_arrows(counts, arrows))
+    return _greedy(*_arrow_table(x))
 
 
 def _greedy(pairs, counts, succ, pred):
-    remaining = pairs
+    remaining = range(len(pairs))
     parts = []
     while remaining:
         part = _Part(counts, succ, pred)
@@ -235,14 +227,14 @@ def _greedy(pairs, counts, succ, pred):
                 deferred.append(p)
         parts.append(part)
         remaining = deferred
-    return len(parts), _partition(parts)
+    return len(parts), _partition(pairs, parts)
 
 
 def _branch_and_bound(pairs, counts, succ, pred, cap, best, witness):
     """Improve on an incumbent of 3 or more parts: assign pairs in
     most-constrained-first order to incremental parts, a pair's next
     part only after the search under its previous one is done."""
-    order = sorted(pairs, key=lambda p: (-counts[p], p))
+    order = sorted(range(len(pairs)), key=lambda p: (-counts[p], p))
     parts = [_Part(counts, succ, pred) for _ in range(min(cap, best))]
     placed = []  # part of order[j] for each placed j
     used = [0]  # parts in use after placing order[:j]
@@ -250,7 +242,7 @@ def _branch_and_bound(pairs, counts, succ, pred, cap, best, witness):
     while best > 2:
         if used[-1] < best:
             if len(placed) == len(order):
-                best, witness = used[-1], _partition(parts[:used[-1]])
+                best, witness = used[-1], _partition(pairs, parts[:used[-1]])
             elif k < min(used[-1] + 1, cap):
                 if parts[k].add(order[len(placed)]):
                     placed.append(k)
@@ -268,27 +260,23 @@ def _branch_and_bound(pairs, counts, succ, pred, cap, best, witness):
     return best, witness
 
 
-def ditc_exact(x: PrecubicalSet, cap=DEFAULT_PART_CAP):
+def ditc_exact(x: PrecubicalSet):
     """Minimal partition size with a verifying witness.
 
     A greedy value of at most 2 is returned as it stands; otherwise
     branch and bound starts from it.  Raises BudgetExceeded when the
-    part cap is below the optimum it proves, and ModelError when it is
-    below 1.
+    part cap ``DEFAULT_PART_CAP``, read at call time, is below the
+    optimum it proves.
     """
-    if cap < 1:
-        raise ModelError(f"the part cap must be at least 1, got {cap}")
     n_pairs = len(gamma(x))
     if n_pairs > GAMMA_CAP:
         raise BudgetExceeded(
             f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
-    pairs, counts, arrows = _arrow_table(x)
-    succ, pred = _core_arrows(counts, arrows)
-    best, witness = _greedy(pairs, counts, succ, pred)
-    if best == 1:
-        return 1, witness
+    table = _arrow_table(x)
+    best, witness = _greedy(*table)
+    cap = DEFAULT_PART_CAP
     if best > 2:
-        best, witness = _branch_and_bound(pairs, counts, succ, pred, cap, best, witness)
+        best, witness = _branch_and_bound(*table, cap, best, witness)
     if best > cap:
         raise BudgetExceeded(
             f"no partition within the part cap {cap}; best bound {best}")

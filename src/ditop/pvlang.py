@@ -127,7 +127,7 @@ def pretty_print(program: PVProgram) -> str:
     )
 
 
-def compile_pv(program: PVProgram, dim_cap: int = DEFAULT_DIM_CAP):
+def compile_pv(program: PVProgram):
     """Grid semantics: ambient cell counts and forbidden boxes.
 
     Each process contributes one axis with one cell per action plus an
@@ -135,11 +135,12 @@ def compile_pv(program: PVProgram, dim_cap: int = DEFAULT_DIM_CAP):
     interval [1, 2) inside a 3-cell line.  Every pair of overlapping
     critical sections on the same mutex, across two distinct processes,
     contributes one forbidden box: the product of the two critical
-    intervals, full extent on the remaining axes.
+    intervals, full extent on the remaining axes.  More processes than
+    ``DEFAULT_DIM_CAP``, read at call time, are refused.
     """
     n = len(program.processes)
-    if n > dim_cap:
-        raise ModelError(f"{n} processes exceed the dimension cap {dim_cap}")
+    if n > DEFAULT_DIM_CAP:
+        raise ModelError(f"{n} processes exceed the dimension cap {DEFAULT_DIM_CAP}")
     dims = tuple(len(proc) + 1 for proc in program.processes)
     crits = [program.critical_intervals(pid) for pid in range(n)]
     boxes = []

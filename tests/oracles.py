@@ -204,7 +204,8 @@ def natural_system_reference(x):
 
 
 def _arrow_table_reference(x):
-    """``ditc._arrow_table`` from ``natural_system_reference``."""
+    """Pairs, class counts by pair and arrows (target pair, action) by
+    pair, from ``natural_system_reference``."""
     system = natural_system_reference(x)
     pairs = system.objects
     counts = dict(zip(pairs, system.counts))

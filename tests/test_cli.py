@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import ditop
 
+from ditop import ditc
 from ditop.cli import run
 from ditop.cubecore import PrecubicalSet, build_grid_complex, grid_vertex
 from ditop.equivcheck import dmap_from_vertex_map, identity_dmap
@@ -45,6 +47,17 @@ def test_parse(pv1_file, capsys):
     assert rep["schema"] == 1
     assert rep["result"]["dims"] == [3, 3]
     assert rep["result"]["model"]["vertices"] == 16
+
+
+@pytest.mark.parametrize("kind", ["pv", "json"])
+def test_parse_takes_only_a_pv_file(pv1_file, pv1_json, capsys, kind):
+    # --complex is not a parse option, whatever the file holds
+    path = pv1_file if kind == "pv" else pv1_json
+    assert run(["parse", "--complex", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "required: --pv" in err
+    assert run(["parse", "--pv", pv1_file, "--complex", path]) == 1
+    assert "unrecognized arguments: --complex" in capsys.readouterr().err
 
 
 def test_classes(pv1_file, capsys):
@@ -150,18 +163,19 @@ def test_ditc_exact(pv1_file, capsys):
     assert _last_json(capsys)["result"]["n"] == 2
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_ditc_part_cap_below_one_exit_1(pv1_file, capsys, cap):
-    assert run(["ditc", "--pv", pv1_file, "--cap", cap]) == 1
-    assert "part cap must be at least 1" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["--cap", "6"], ["--upper", "--cap", "0"]])
+def test_ditc_has_no_cap_flag(pv1_file, capsys, argv):
+    # the part cap is the constant ditc.DEFAULT_PART_CAP
+    assert run(["ditc", "--pv", pv1_file, *argv]) == 1
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["0", "-5", "6"])
-def test_ditc_upper_refuses_a_part_cap(pv1_file, capsys, cap):
-    # the part cap bounds the exact search only; "6" is the default value
-    for argv in (["--upper", "--cap", cap], ["--cap", cap, "--upper"]):
-        assert run(["ditc", "--pv", pv1_file, *argv]) == 1
-        assert "not allowed with argument" in capsys.readouterr().err
+def test_ditc_part_cap_exit_2(monkeypatch, pv1_file, capsys):
+    # read at call time, so patching the constant reaches the search
+    monkeypatch.setattr(ditc, "DEFAULT_PART_CAP", 1)
+    assert run(["ditc", "--pv", pv1_file]) == 2
+    assert capsys.readouterr().err == (
+        "error: no partition within the part cap 1; best bound 2\n")
 
 
 def test_ditc_upper(pv1_file, capsys):
@@ -299,6 +313,31 @@ def test_python_m_cli(pv1_file):
         capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["result"]["count"] == 2
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # main() passes run()'s code to sys.exit; the installed script names it
+    src = str(Path(ditop.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def ditop_m(*argv):
+        return subprocess.run([sys.executable, "-m", "ditop.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    out = ditop_m("--version")
+    assert (out.returncode, out.stdout.strip()) == (0, ditop.__version__)
+    chain = tmp_path / "chain.json"
+    chain.write_text(PrecubicalSet(71, [(i, i + 1) for i in range(70)]).to_json())
+    out = ditop_m("ditc", "--complex", str(chain))
+    assert out.returncode == 2
+    assert out.stderr == "error: 2556 reachable pairs exceed the exact-search cap 2500\n"
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["ditop"]
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
 
 
 MALFORMED_COMPLEXES = {

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from ditop import ditc
 from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma, grid_vertex
 from ditop.ditc import SectionPartition, ditc_exact, ditc_upper, verify_partition
-from ditop.errors import BudgetExceeded, ModelError
+from ditop.errors import BudgetExceeded
 from ditop.fixtures import get_fixture
 from ditop.zhom import is_dicontractible, section_exists
 
 from conftest import ALL_FIXTURES, dag_models, grid_models
-from oracles import ditc_reference, feasible_choice
+from oracles import _arrow_table_reference, ditc_reference, feasible_choice
 
 MODELS = st.one_of(grid_models(), dag_models())
 
@@ -94,16 +94,10 @@ def test_full_grid_is_one():
     assert verify_partition(x, w)
 
 
-def test_part_cap_budget(pv1):
+def test_part_cap_budget(monkeypatch, pv1):
+    monkeypatch.setattr(ditc, "DEFAULT_PART_CAP", 1)
     with pytest.raises(BudgetExceeded):
-        ditc_exact(pv1, cap=1)
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_part_cap_below_one_is_a_model_error(seg, cap):
-    # a one-part model would otherwise come back with n = 1 > cap
-    with pytest.raises(ModelError, match="at least 1"):
-        ditc_exact(seg, cap=cap)
+        ditc_exact(pv1)
 
 
 def test_gamma_cap_refused_before_any_class_is_built():
@@ -141,7 +135,9 @@ def test_search_matches_the_from_scratch_reference(x):
     assert upper == ditc_reference(x, upper=True)
     assert verify_partition(x, upper[1])
     for cap in (ditc.DEFAULT_PART_CAP, 2):
-        exact = _outcome(ditc_exact, x, cap=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ditc, "DEFAULT_PART_CAP", cap)
+            exact = _outcome(ditc_exact, x)
         assert exact == _outcome(ditc_reference, x, cap=cap)
         if not isinstance(exact, str):
             assert verify_partition(x, exact[1])
@@ -150,18 +146,21 @@ def test_search_matches_the_from_scratch_reference(x):
 @settings(max_examples=150, deadline=None)
 @given(MODELS, st.data())
 def test_a_part_agrees_with_a_from_scratch_solve(x, data):
-    pairs, counts, arrows = ditc._arrow_table(x)
-    part = ditc._Part(counts, *ditc._core_arrows(counts, arrows))
+    pairs, counts, succ, pred = ditc._arrow_table(x)
+    _, pair_counts, arrows = _arrow_table_reference(x)
+    part = ditc._Part(counts, succ, pred)
     members = []
-    for p in data.draw(st.permutations(pairs))[:30]:
+    for p in data.draw(st.permutations(range(len(pairs))))[:30]:
         for _ in range(data.draw(st.integers(0, min(2, len(members))))):
             part.remove(members.pop(data.draw(st.integers(0, len(members) - 1))))
-        feasible = feasible_choice(members + [p], counts, arrows) is not None
+        feasible = feasible_choice([pairs[q] for q in members + [p]],
+                                   pair_counts, arrows) is not None
         assert part.add(p) == feasible
         if feasible:
             members.append(p)
         assert part.members == set(members)
-        assert part.choices() == feasible_choice(members, counts, arrows)
+        choice = {pairs[q]: c for q, c in part.choices().items()}
+        assert choice == feasible_choice([pairs[q] for q in members], pair_counts, arrows)
 
 
 def _one_hole_grid(n):
@@ -238,5 +237,6 @@ def test_a_greedy_value_of_two_is_returned_without_search(monkeypatch):
     monkeypatch.setattr(ditc, "_Part", Counted)
     assert ditc_exact(_one_hole_grid(5))[0] == 2
     assert len(made) == 2  # the two greedy parts
+    monkeypatch.setattr(ditc, "DEFAULT_PART_CAP", 1)
     with pytest.raises(BudgetExceeded, match="part cap 1; best bound 2"):
-        ditc_exact(_one_hole_grid(5), cap=1)
+        ditc_exact(_one_hole_grid(5))

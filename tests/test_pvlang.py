@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ditop import pvlang
 from ditop.errors import ModelError
 from ditop.pvlang import PVSyntaxError, compile_pv, parse_pv, pretty_print
 
@@ -102,6 +103,15 @@ def test_compile_three_processes_slack_axis():
 def test_dimension_cap():
     with pytest.raises(ModelError, match="dimension cap"):
         compile_pv(parse_pv("Pa Va | Pa Va | Pa Va | Pa Va"))
+
+
+def test_the_dimension_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(pvlang, "DEFAULT_DIM_CAP", 4)
+    dims, boxes = compile_pv(parse_pv("Pa Va | Pa Va | Pa Va | Pa Va"))
+    assert dims == (3, 3, 3, 3) and len(boxes) == 6
+    monkeypatch.setattr(pvlang, "DEFAULT_DIM_CAP", 1)
+    with pytest.raises(ModelError, match="2 processes exceed the dimension cap 1"):
+        compile_pv(parse_pv("Pa Va | Pa Va"))
 
 
 def test_disjoint_resources_no_boxes():
