@@ -12,6 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ModelError, PathCapExceeded
 
@@ -41,70 +42,75 @@ class PrecubicalSet:
     """
 
     def __init__(self, n_vertices, edges, squares=(), labels=None, coords=None):
-        self.n_vertices = int(n_vertices)
-        self.edges = tuple((int(s), int(t)) for s, t in edges)
-        self.squares = tuple(tuple(int(e) for e in sq) for sq in squares)
+        if type(n_vertices) is not int or n_vertices < 0:
+            raise ModelError(f"vertex count {n_vertices!r} is not a non-negative integer")
+        try:
+            edges = tuple(map(tuple, edges))
+            squares = tuple(map(tuple, squares))
+        except TypeError:
+            raise ModelError("edges and squares must be integer sequences") from None
+        if not _int_rows(edges, 2):
+            bad = next(e for e in edges if not _int_rows((e,), 2))
+            raise ModelError(f"edge {bad} must be 2 integers")
+        if not _int_rows(squares):
+            bad = next(sq for sq in squares if not _int_rows((sq,)))
+            raise ModelError(f"square {bad} must list integer edge ids")
+        self.n_vertices = n = n_vertices
+        self.edges = edges
+        self.squares = squares
         self.labels = dict(labels) if labels else {}
         # integer lattice coordinates per vertex, for grid models
-        self.coords = tuple(tuple(c) for c in coords) if coords is not None else None
-        # position of each vertex in one topological order
-        self._rank = [0] * self.n_vertices
-        for i, v in enumerate(self._validate()):
-            self._rank[v] = i
-        self._out = [[] for _ in range(self.n_vertices)]
-        self._in = [[] for _ in range(self.n_vertices)]
-        for i, (s, t) in enumerate(self.edges):
-            self._out[s].append(i)
-            self._in[t].append(i)
-        for adj in self._out:
-            adj.sort(key=lambda i: (self.edges[i][1], i))
-        for adj in self._in:
-            adj.sort(key=lambda i: (self.edges[i][0], i))
-        # elementary square flips: (e1,e2) -> every (e1',e2') across a
-        # square, in square order; an edge pair may bound several squares
-        self._flips = {}
-        for bottom, right, left, top in self.squares:
-            self._flips.setdefault((bottom, right), []).append((left, top))
-            self._flips.setdefault((left, top), []).append((bottom, right))
+        self.coords = tuple(map(tuple, coords)) if coords is not None else None
+        src = list(map(itemgetter(0), edges))
+        tgt = list(map(itemgetter(1), edges))
+        self._validate(src, tgt)
+        # out-edges by (target, id) and in-edges by (source, id): one
+        # stable sort of the edge ids each
+        self._out = [[] for _ in range(n)]
+        self._in = [[] for _ in range(n)]
+        for e in sorted(range(len(edges)), key=tgt.__getitem__):
+            self._out[src[e]].append(e)
+        for e in sorted(range(len(edges)), key=src.__getitem__):
+            self._in[tgt[e]].append(e)
+        # position of each vertex in one topological order (Kahn's), which
+        # the sort inverts: the vertex at position i gets rank i
+        order = [v for v, adj in enumerate(self._in) if not adj]
+        indeg = list(map(len, self._in))
+        for v in order:
+            for w in map(tgt.__getitem__, self._out[v]):
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        if len(order) != n:
+            raise ModelError("edge digraph contains a directed cycle")
+        self._rank = sorted(range(n), key=order.__getitem__)
         self._class_cache = {}
         self._gamma = None
 
     # -- construction checks -------------------------------------------------
 
-    def _validate(self):
-        """Check the cells; return the vertices in a topological order."""
-        for s, t in self.edges:
-            if not (0 <= s < self.n_vertices and 0 <= t < self.n_vertices):
-                raise ModelError(f"edge ({s},{t}) has an unknown endpoint")
+    def _validate(self, src, tgt):
+        """Check the endpoints, labels and squares, and tabulate the flips."""
+        n, m = self.n_vertices, len(self.edges)
+        if m and not (0 <= min(src) and 0 <= min(tgt) and max(src) < n and max(tgt) < n):
+            s, t = next(e for e in self.edges if not (0 <= e[0] < n and 0 <= e[1] < n))
+            raise ModelError(f"edge ({s},{t}) has an unknown endpoint")
         for v in self.labels:
-            if v not in range(self.n_vertices):
+            if type(v) is not int or not 0 <= v < n:
                 raise ModelError(f"label for an unknown vertex {v}")
+        # elementary square flips: (e1,e2) -> every (e1',e2') across a
+        # square, in square order; an edge pair may bound several squares
+        flips = self._flips = {}
         for sq in self.squares:
             if len(sq) != 4:
                 raise ModelError(f"square {sq} must list 4 boundary edges")
-            if any(not (0 <= e < len(self.edges)) for e in sq):
+            b, r, l, t = sq
+            if not (0 <= b < m and 0 <= r < m and 0 <= l < m and 0 <= t < m):
                 raise ModelError(f"square {sq} references an unknown edge")
-            b, r, l, t = (self.edges[e] for e in sq)
-            if not (b[0] == l[0] and b[1] == r[0] and l[1] == t[0] and r[1] == t[1]):
+            if not (src[b] == src[l] and tgt[b] == src[r] and tgt[l] == src[t] and tgt[r] == tgt[t]):
                 raise ModelError(f"square {sq} does not commute")
-        # acyclic edge digraph (directed loops are out of scope)
-        indeg = [0] * self.n_vertices
-        out = [[] for _ in range(self.n_vertices)]
-        for s, t in self.edges:
-            indeg[t] += 1
-            out[s].append(t)
-        queue = [v for v in range(self.n_vertices) if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != self.n_vertices:
-            raise ModelError("edge digraph contains a directed cycle")
-        return order
+            flips.setdefault((b, r), []).append((l, t))
+            flips.setdefault((l, t), []).append((b, r))
 
     # -- queries -------------------------------------------------------------
 
@@ -160,48 +166,48 @@ class PrecubicalSet:
     def from_json(cls, text: str) -> "PrecubicalSet":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to read
             raise ModelError(f"invalid complex file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ModelError("complex file must hold a JSON object")
         if "vertices" not in doc or "edges" not in doc:
             raise ModelError("complex file needs 'vertices' and 'edges'")
         n = doc["vertices"]
-        if not json_int(n) or n < 0:
+        if type(n) is not int or n < 0:
             raise ModelError("'vertices' must be a non-negative integer")
         for key, width in (("edges", 2), ("squares", 4)):
             if not json_int_rows(doc.get(key, []), width):
                 raise ModelError(f"'{key}' must be a list of {width}-integer lists")
         labels = doc.get("labels", {})
+        # vertex ids as to_json writes them: ASCII digits, no leading zero
         if not isinstance(labels, dict) or not all(
-            k.isdecimal() and isinstance(v, str) for k, v in labels.items()
+            k.isascii() and k.isdecimal() and (k[0] != "0" or k == "0") and isinstance(v, str)
+            for k, v in labels.items()
         ):
             raise ModelError("'labels' must map vertex ids to strings")
         coords = doc.get("coords")
-        if coords is not None and not (json_int_rows(coords) and len(coords) == n):
-            raise ModelError("'coords' must list one integer point per vertex")
-        return cls(
-            n,
-            doc["edges"],
-            doc.get("squares", ()),
-            labels={int(k): v for k, v in labels.items()},
-            coords=coords,
-        )
+        if coords is not None:
+            if not (json_int_rows(coords) and len(coords) == n):
+                raise ModelError("'coords' must list one integer point per vertex")
+            axes = set(map(len, coords))
+            if len(axes) > 1 or 0 in axes:
+                raise ModelError("'coords' points must have one common, positive number of axes")
+            if len(set(map(tuple, coords))) < n:
+                raise ModelError("'coords' must not repeat a point")
+        return cls(n, doc["edges"], doc.get("squares", ()),
+                   labels={int(k): v for k, v in labels.items()}, coords=coords)
 
 
-def json_int(v) -> bool:
-    """True for a JSON integer (bools are ints in Python but not here)."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _int_rows(rows, width=None) -> bool:
+    """True when the rows hold integers only (bools are not), ``width``
+    of them each if given: C-level passes, no call per integer."""
+    return ((width is None or set(map(len, rows)) <= {width})
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int})
 
 
 def json_int_rows(v, width=None) -> bool:
     """True for a JSON list of integer lists, each ``width`` long if given."""
-    return isinstance(v, list) and all(
-        isinstance(row, list)
-        and (width is None or len(row) == width)
-        and all(json_int(i) for i in row)
-        for row in v
-    )
+    return isinstance(v, list) and set(map(type, v)) <= {list} and _int_rows(v, width)
 
 
 @dataclass(frozen=True)
@@ -319,86 +325,76 @@ def concat(x: PrecubicalSet, p: DPath, q: DPath) -> DPath:
 # -- grid models -------------------------------------------------------------
 
 
-def _interior_meets_box(base, spanned, box, dims):
-    """Does the open unit cell at ``base`` spanning ``spanned`` axes meet
-    the forbidden region of ``box``?
-
-    Per axis the region is the open interval (lo, hi), except that an
-    interval spanning the whole axis is closed: such axes only occur as
-    the slack axes of a resource conflict, where every position is
-    forbidden including the walls.
-    """
-    for i, (lo, hi) in enumerate(box):
-        full = lo == 0 and hi == dims[i]
-        if i in spanned:
-            if not (base[i] < hi and base[i] + 1 > lo):
-                return False
-        elif full:
-            if not (lo <= base[i] <= hi):
-                return False
-        else:
-            if not (lo < base[i] < hi):
-                return False
-    return True
-
-
 def build_grid_complex(dims, forbidden=()) -> PrecubicalSet:
     """Grid model: lattice cells whose relative interior avoids every
     forbidden open box prod_i (lo_i, hi_i).
 
     ``dims`` are per-axis cell counts; ``forbidden`` is a list of per-axis
-    integer interval lists ``[(lo, hi), ...]`` in cell units.
+    integer interval lists ``[(lo, hi), ...]`` in cell units.  A cell
+    meets a box when it meets it on every axis.  Per axis the box is the
+    open interval (lo, hi), except that an interval spanning the whole
+    axis is closed: such axes only occur as the slack axes of a resource
+    conflict, where every position is forbidden including the walls.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    if not set(map(type, dims)) <= {int}:
+        raise ModelError(f"grid dims must be integers, got {dims}")
     if not dims or any(d <= 0 for d in dims):
         raise ModelError(f"grid dims must be positive, got {dims}")
-    boxes = [tuple((int(lo), int(hi)) for lo, hi in box) for box in forbidden]
-    for box in boxes:
-        if len(box) != len(dims):
-            raise ModelError(f"box {box} does not match grid dimension")
-        for i, (lo, hi) in enumerate(box):
+    boxes = []
+    for box in forbidden:
+        try:
+            pairs = tuple(map(tuple, box))
+        except TypeError:
+            pairs = ((),)
+        if not _int_rows(pairs, 2):
+            raise ModelError(f"box {box!r} must be a list of (lo, hi) integer pairs")
+        if len(pairs) != len(dims):
+            raise ModelError(f"box {pairs} does not match grid dimension")
+        for i, (lo, hi) in enumerate(pairs):
             if not (0 <= lo < hi <= dims[i]):
                 raise ModelError(f"box interval ({lo},{hi}) out of range on axis {i}")
+        boxes.append(pairs)
 
-    def blocked(base, spanned):
-        return any(_interior_meets_box(base, spanned, box, dims) for box in boxes)
+    # lattice point p has index sum(p[i] * stride[i]): index order is
+    # lexicographic order, and a cell is named by the index of its base
+    axes = range(len(dims))
+    stride = [1] * len(dims)
+    for i in reversed(axes[1:]):
+        stride[i - 1] = stride[i] * (dims[i] + 1)
 
-    points = [
-        p
-        for p in itertools.product(*[range(d + 1) for d in dims])
-        if not blocked(p, ())
-    ]
-    vid = {p: i for i, p in enumerate(points)}  # row-major: lexicographic
+    def at(i, lo, hi):
+        """The index offsets of positions lo..hi-1 on axis i."""
+        return range(lo * stride[i], hi * stride[i], stride[i])
 
-    edges = []
-    eid = {}
-    for p in points:
-        for k in range(len(dims)):
-            q = list(p)
-            q[k] += 1
-            q = tuple(q)
-            if q in vid and not blocked(p, (k,)):
-                eid[(p, k)] = len(edges)
-                edges.append((vid[p], vid[q]))
+    # per box and axis, indexed by whether the cell spans the axis: the
+    # positions it forbids to a point, and to a spanning cell's base
+    tables = [[(at(i, 0, d + 1) if (lo, hi) == (0, d) else at(i, lo + 1, hi), at(i, lo, hi))
+               for i, ((lo, hi), d) in enumerate(zip(box, dims))] for box in boxes]
 
-    squares = []
-    for p in points:
-        for k in range(len(dims)):
-            for l in range(k + 1, len(dims)):
-                pk = list(p)
-                pk[k] += 1
-                pl = list(p)
-                pl[l] += 1
-                bottom = eid.get((p, k))
-                left = eid.get((p, l))
-                right = eid.get((tuple(pk), l))
-                top = eid.get((tuple(pl), k))
-                if None in (bottom, right, left, top):
-                    continue
-                if not blocked(p, (k, l)):
-                    squares.append((bottom, right, left, top))
+    def free(spanned):
+        """Base indices, ascending, of the cells spanning the axes
+        ``spanned`` that meet no box; a spanning cell's base stops one
+        short of the far wall."""
+        blocked = set()
+        for table in tables:
+            cells = itertools.product(*[table[i][i in spanned] for i in axes])
+            blocked.update(map(sum, cells))
+        cells = itertools.product(*[at(i, 0, d + (i not in spanned)) for i, d in enumerate(dims)])
+        return itertools.filterfalse(blocked.__contains__, map(sum, cells))
 
-    return PrecubicalSet(len(points), edges, squares, coords=points)
+    # a free cell's faces are free, so the endpoints of a free edge and
+    # the sides of a free square exist
+    points = list(free(()))
+    vid = dict(zip(points, itertools.count()))
+    lattice = list(itertools.product(*[range(d + 1) for d in dims]))
+    edge_cells = sorted((c, k) for k in axes for c in free((k,)))  # base-major
+    eid = {cell: i for i, cell in enumerate(edge_cells)}
+    edges = [(vid[c], vid[c + stride[k]]) for c, k in edge_cells]
+    square_cells = sorted((c, k, l) for k, l in itertools.combinations(axes, 2) for c in free((k, l)))
+    squares = [(eid[c, k], eid[c + stride[k], l], eid[c, l], eid[c + stride[l], k])
+               for c, k, l in square_cells]
+    return PrecubicalSet(len(points), edges, squares, coords=[lattice[c] for c in points])
 
 
 def grid_vertex(x: PrecubicalSet, point) -> int:

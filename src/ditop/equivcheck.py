@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .cubecore import DPath, PrecubicalSet, gamma, json_int
+from .cubecore import DPath, PrecubicalSet, gamma
 from .errors import ModelError
 from .traceclass import _table, trace_classes
 
@@ -61,7 +62,7 @@ class DMapData:
     def from_json(cls, text: str) -> "DMapData":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to read
             raise ModelError(f"invalid dmap file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ModelError("dmap file must hold a JSON object")
@@ -69,20 +70,17 @@ class DMapData:
             if key not in doc:
                 raise ModelError(f"dmap file needs '{key}'")
         vm = doc["vertex_map"]
-        if not (isinstance(vm, list) and all(json_int(v) for v in vm)):
+        if not (isinstance(vm, list) and set(map(type, vm)) <= {int}):
             raise ModelError("'vertex_map' must be a list of integers")
         for key in ("edge_map", "square_map"):
-            if not (isinstance(doc[key], list) and all(
-                isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str) and json_int(entry[1])
-                for entry in doc[key]
-            )):
+            rows = doc[key]
+            if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+                    and set(map(len, rows)) <= {2}
+                    and set(map(type, map(itemgetter(0), rows))) <= {str}
+                    and set(map(type, map(itemgetter(1), rows))) <= {int}):
                 raise ModelError(f"'{key}' must be a list of [tag, integer] pairs")
-        return cls(
-            tuple(vm),
-            tuple((tag, i) for tag, i in doc["edge_map"]),
-            tuple((tag, i) for tag, i in doc["square_map"]),
-        )
+        return cls(tuple(vm), tuple(map(tuple, doc["edge_map"])),
+                   tuple(map(tuple, doc["square_map"])))
 
 
 def dmap_violations(x: PrecubicalSet, y: PrecubicalSet, f: DMapData):

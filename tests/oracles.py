@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms and
 data layouts than the library: midpoint sampling instead of interval
-arithmetic, breadth-first closure instead of union-find, boolean matrix
+arithmetic, a cell-by-cell grid build instead of tabulated box
+positions, breadth-first closure instead of union-find, boolean matrix
 closure instead of DFS, cofactor determinants instead of reduction,
 Jacobi sweeps over every same-count pair, or a worklist over every
 same-colour pair of Jacobi-refined colours, instead of blocks with a
@@ -65,6 +66,56 @@ def brute_grid_cells(dims, boxes):
                 ):
                     squares.append((p, k, l))
     return verts, edges, squares
+
+
+def _interior_meets_box(base, spanned, box, dims):
+    """Does the open unit cell at ``base`` spanning ``spanned`` axes meet
+    the forbidden region of ``box``?  Per axis the region is the open
+    interval (lo, hi), closed when it spans the whole axis."""
+    for i, (lo, hi) in enumerate(box):
+        full = lo == 0 and hi == dims[i]
+        if i in spanned:
+            if not (base[i] < hi and base[i] + 1 > lo):
+                return False
+        elif full:
+            if not (lo <= base[i] <= hi):
+                return False
+        else:
+            if not (lo < base[i] < hi):
+                return False
+    return True
+
+
+def grid_reference(dims, forbidden=()):
+    """The grid model of ``cubecore.build_grid_complex``, built cell by
+    cell: every lattice point, edge and square is tested against every
+    box by interval arithmetic, and cells are found by coordinate tuples
+    instead of tabulated index sets."""
+    from ditop.cubecore import PrecubicalSet
+
+    def blocked(base, spanned):
+        return any(_interior_meets_box(base, spanned, box, dims) for box in forbidden)
+
+    points = [p for p in product(*[range(d + 1) for d in dims]) if not blocked(p, ())]
+    vid = {p: i for i, p in enumerate(points)}  # row-major: lexicographic
+    edges = []
+    eid = {}
+    for p in points:
+        for k in range(len(dims)):
+            q = tuple(b + (i == k) for i, b in enumerate(p))
+            if q in vid and not blocked(p, (k,)):
+                eid[(p, k)] = len(edges)
+                edges.append((vid[p], vid[q]))
+    squares = []
+    for p in points:
+        for k in range(len(dims)):
+            for l in range(k + 1, len(dims)):
+                pk = tuple(b + (i == k) for i, b in enumerate(p))
+                pl = tuple(b + (i == l) for i, b in enumerate(p))
+                sides = (eid.get((p, k)), eid.get((pk, l)), eid.get((p, l)), eid.get((pl, k)))
+                if None not in sides and not blocked(p, (k, l)):
+                    squares.append(sides)
+    return PrecubicalSet(len(points), edges, squares, coords=points)
 
 
 def closure_pairs(x):

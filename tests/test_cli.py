@@ -340,67 +340,131 @@ def test_module_entry_point_exit_codes(tmp_path):
         assert callable(getattr(importlib.import_module(module), name))
 
 
+_ROWS = "'edges' must be a list of 2-integer lists"
+_SQUARES = "'squares' must be a list of 4-integer lists"
+_LABELS = "'labels' must map vertex ids to strings"
+_COORDS = "'coords' must list one integer point per vertex"
+_AXES = "'coords' points must have one common, positive number of axes"
+_SQUARE = {"vertices": 4, "edges": [[0, 1], [1, 3], [0, 2], [2, 3]]}
+
+# case -> (file content, the loader's message); a str is written as is,
+# anything else as JSON.  One case or more per check, in check order.
 MALFORMED_COMPLEXES = {
-    "not an object": [1, 2],
-    "a number": 5,
-    "short edge": {"vertices": 2, "edges": [[0]]},
-    "edge of strings": {"vertices": 2, "edges": [["0", "1"]]},
-    "edges not a list": {"vertices": 2, "edges": {"0": 1}},
-    "vertices a string": {"vertices": "x", "edges": []},
-    "vertices a bool": {"vertices": True, "edges": []},
-    "negative vertices": {"vertices": -1, "edges": []},
-    "short square": {"vertices": 2, "edges": [[0, 1]], "squares": [[0, 0, 0]]},
-    "square of floats": {"vertices": 2, "edges": [[0, 1]],
-                         "squares": [[0.5, 0, 0, 0]]},
-    "labels a list": {"vertices": 2, "edges": [[0, 1]], "labels": [1]},
-    "label key not a vertex": {"vertices": 2, "edges": [[0, 1]],
-                               "labels": {"a": "x"}},
-    "label not a string": {"vertices": 2, "edges": [[0, 1]], "labels": {"0": 1}},
-    "label for an unknown vertex": {"vertices": 2, "edges": [[0, 1]],
-                                    "labels": {"7": "x"}},
-    "coords not a list": {"vertices": 2, "edges": [[0, 1]], "coords": 3},
-    "coords of strings": {"vertices": 2, "edges": [[0, 1]],
-                          "coords": [["a"], ["b"]]},
-    "coords too short": {"vertices": 2, "edges": [[0, 1]], "coords": [[0]]},
+    "not JSON": ("{", "invalid complex file: Expecting property name enclosed in double "
+                      "quotes: line 1 column 2 (char 1)"),
+    "not an object": ([1, 2], "complex file must hold a JSON object"),
+    "a number": (5, "complex file must hold a JSON object"),
+    "no edges": ({"vertices": 2}, "complex file needs 'vertices' and 'edges'"),
+    "vertices a string": ({"vertices": "x", "edges": []},
+                          "'vertices' must be a non-negative integer"),
+    "vertices a bool": ({"vertices": True, "edges": []},
+                        "'vertices' must be a non-negative integer"),
+    "vertices a float": ({"vertices": 2.0, "edges": []},
+                         "'vertices' must be a non-negative integer"),
+    "negative vertices": ({"vertices": -1, "edges": []},
+                          "'vertices' must be a non-negative integer"),
+    "short edge": ({"vertices": 2, "edges": [[0]]}, _ROWS),
+    "edge of strings": ({"vertices": 2, "edges": [["0", "1"]]}, _ROWS),
+    "edge of bools": ({"vertices": 2, "edges": [[False, True]]}, _ROWS),
+    "edge an integer": ({"vertices": 2, "edges": [0, 1]}, _ROWS),
+    "edges not a list": ({"vertices": 2, "edges": {"0": 1}}, _ROWS),
+    "short square": ({"vertices": 2, "edges": [[0, 1]], "squares": [[0, 0, 0]]}, _SQUARES),
+    "square of floats": ({"vertices": 2, "edges": [[0, 1]], "squares": [[0.5, 0, 0, 0]]},
+                         _SQUARES),
+    "labels a list": ({"vertices": 2, "edges": [[0, 1]], "labels": [1]}, _LABELS),
+    "label key not a vertex": ({"vertices": 2, "edges": [[0, 1]], "labels": {"a": "x"}},
+                               _LABELS),
+    "label key of non-ASCII digits": ({"vertices": 4, "edges": [], "labels": {"\u0663": "x"}},
+                                      _LABELS),
+    "label key with a leading zero": ({"vertices": 4, "edges": [], "labels": {"03": "x"}},
+                                      _LABELS),
+    "label key negative": ({"vertices": 2, "edges": [], "labels": {"-1": "x"}}, _LABELS),
+    "label not a string": ({"vertices": 2, "edges": [[0, 1]], "labels": {"0": 1}}, _LABELS),
+    "coords not a list": ({"vertices": 2, "edges": [[0, 1]], "coords": 3}, _COORDS),
+    "coords of strings": ({"vertices": 2, "edges": [[0, 1]], "coords": [["a"], ["b"]]},
+                          _COORDS),
+    "coords too short": ({"vertices": 2, "edges": [[0, 1]], "coords": [[0]]}, _COORDS),
+    "coords ragged": ({"vertices": 2, "edges": [[0, 1]], "coords": [[0], [0, 1]]}, _AXES),
+    "coords empty": ({"vertices": 2, "edges": [[0, 1]], "coords": [[], []]}, _AXES),
+    "coords repeated": ({"vertices": 2, "edges": [[0, 1]], "coords": [[0, 1], [0, 1]]},
+                        "'coords' must not repeat a point"),
+    "edge to an unknown vertex": ({"vertices": 2, "edges": [[0, 1], [1, 2]]},
+                                  "edge (1,2) has an unknown endpoint"),
+    "label for an unknown vertex": ({"vertices": 2, "edges": [[0, 1]], "labels": {"7": "x"}},
+                                    "label for an unknown vertex 7"),
+    "square of an unknown edge": ({**_SQUARE, "squares": [[0, 1, 2, 4]]},
+                                  "square (0, 1, 2, 4) references an unknown edge"),
+    "square not commuting": ({**_SQUARE, "squares": [[0, 2, 1, 3]]},
+                             "square (0, 2, 1, 3) does not commute"),
+    "square not closing": ({"vertices": 5, "edges": [[0, 1], [1, 3], [0, 2], [2, 4]],
+                            "squares": [[0, 1, 2, 3]]}, "square (0, 1, 2, 3) does not commute"),
+    "directed cycle": ({"vertices": 2, "edges": [[0, 1], [1, 0]]},
+                       "edge digraph contains a directed cycle"),
 }
+
+
+def _write(path, content):
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_COMPLEXES))
 def test_malformed_complex_exit_1(case, tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(MALFORMED_COMPLEXES[case]))
-    assert run(["nathom", "--complex", str(p)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    content, message = MALFORMED_COMPLEXES[case]
+    assert run(["nathom", "--complex", _write(tmp_path / "bad.json", content)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="integers of any length are read before Python 3.11")
+@pytest.mark.parametrize("argv", [["nathom", "--complex", "{bad}"],
+                                  ["equiv", "{x}", "{x}", "--f", "{bad}", "--g", "{bad}"]])
+def test_an_integer_too_long_to_read_exit_1(argv, tmp_path, capsys, seg):
+    # json.loads raises a ValueError that is not a JSONDecodeError
+    x = _write(tmp_path / "seg.json", seg.to_json())
+    bad = _write(tmp_path / "bad.json", '{"vertices": 1%s}' % ("0" * 5000))
+    assert run([a.format(x=x, bad=bad) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid ") and "Exceeds the limit" in err
+
+
+_PAIRS = "must be a list of [tag, integer] pairs"
 
 MALFORMED_DMAPS = {
-    "not an object": [0, 1],
-    "vertex map of strings": {"vertex_map": ["0", "1"], "edge_map": [["e", 0]],
-                              "square_map": []},
-    "vertex map not a list": {"vertex_map": 0, "edge_map": [["e", 0]],
-                              "square_map": []},
-    "short edge entry": {"vertex_map": [0, 1], "edge_map": [["e"]],
-                         "square_map": []},
-    "edge index a string": {"vertex_map": [0, 1], "edge_map": [["e", "x"]],
-                            "square_map": []},
-    "edge tag not a string": {"vertex_map": [0, 1], "edge_map": [[0, 0]],
-                              "square_map": []},
-    "square map not a list": {"vertex_map": [0, 1], "edge_map": [["e", 0]],
-                              "square_map": 7},
+    "not JSON": ("[", "invalid dmap file: Expecting value: line 1 column 2 (char 1)"),
+    "not an object": ([0, 1], "dmap file must hold a JSON object"),
+    "no square map": ({"vertex_map": [0, 1], "edge_map": [["e", 0]]},
+                      "dmap file needs 'square_map'"),
+    "vertex map of strings": ({"vertex_map": ["0", "1"], "edge_map": [["e", 0]],
+                               "square_map": []}, "'vertex_map' must be a list of integers"),
+    "vertex map of bools": ({"vertex_map": [False, True], "edge_map": [["e", 0]],
+                             "square_map": []}, "'vertex_map' must be a list of integers"),
+    "vertex map not a list": ({"vertex_map": 0, "edge_map": [["e", 0]], "square_map": []},
+                              "'vertex_map' must be a list of integers"),
+    "short edge entry": ({"vertex_map": [0, 1], "edge_map": [["e"]], "square_map": []},
+                         f"'edge_map' {_PAIRS}"),
+    "edge entry an integer": ({"vertex_map": [0, 1], "edge_map": [0], "square_map": []},
+                              f"'edge_map' {_PAIRS}"),
+    "edge index a string": ({"vertex_map": [0, 1], "edge_map": [["e", "x"]],
+                             "square_map": []}, f"'edge_map' {_PAIRS}"),
+    "edge index a bool": ({"vertex_map": [0, 1], "edge_map": [["e", False]],
+                           "square_map": []}, f"'edge_map' {_PAIRS}"),
+    "edge tag not a string": ({"vertex_map": [0, 1], "edge_map": [[0, 0]], "square_map": []},
+                              f"'edge_map' {_PAIRS}"),
+    "square map not a list": ({"vertex_map": [0, 1], "edge_map": [["e", 0]],
+                               "square_map": 7}, f"'square_map' {_PAIRS}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DMAPS))
 def test_malformed_dmap_exit_1(case, tmp_path, capsys, seg):
-    x = tmp_path / "seg.json"
-    x.write_text(seg.to_json())
-    good = tmp_path / "id.json"
-    good.write_text(json.dumps({"vertex_map": [0, 1], "edge_map": [["e", 0]],
-                                "square_map": []}))
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(MALFORMED_DMAPS[case]))
-    assert run(["equiv", str(x), str(x), "--f", str(bad), "--g", str(good)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    x = _write(tmp_path / "seg.json", seg.to_json())
+    good = _write(tmp_path / "id.json", {"vertex_map": [0, 1], "edge_map": [["e", 0]],
+                                         "square_map": []})
+    content, message = MALFORMED_DMAPS[case]
+    bad = _write(tmp_path / "bad.json", content)
+    assert run(["equiv", x, x, "--f", bad, "--g", good]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

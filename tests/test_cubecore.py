@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +16,19 @@ from ditop.cubecore import (
     reachable,
 )
 from ditop.errors import ModelError, PathCapExceeded
+from ditop.pvlang import compile_pv, parse_pv
 
 from conftest import dag_models, grid_models
-from oracles import all_paths_bfs, brute_grid_cells, closure_pairs, path_count_dp
+from oracles import (
+    all_paths_bfs,
+    brute_grid_cells,
+    closure_pairs,
+    grid_reference,
+    path_count_dp,
+    relabel_complex,
+)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_edge_endpoint_validation():
@@ -35,6 +47,8 @@ def test_square_commutation_validation():
 def test_cycle_rejected():
     with pytest.raises(ModelError, match="cycle"):
         PrecubicalSet(2, [(0, 1), (1, 0)])
+    with pytest.raises(ModelError, match="cycle"):
+        PrecubicalSet(3, [(0, 1), (1, 1), (1, 2)])
 
 
 def test_json_roundtrip_byte_stable(any_fixture):
@@ -48,10 +62,11 @@ def test_json_roundtrip_byte_stable(any_fixture):
 
 @st.composite
 def grids(draw):
-    n = draw(st.integers(1, 2))
-    dims = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    """Dims of 1-3 axes and 0-3 boxes; a box may span every axis in full."""
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 4 if n < 3 else 3)) for _ in range(n))
     boxes = []
-    if draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 3))):
         box = []
         for d in dims:
             lo = draw(st.integers(0, d - 1))
@@ -207,3 +222,80 @@ def test_grid_dims_validation():
         build_grid_complex((0,))
     with pytest.raises(ModelError, match="out of range"):
         build_grid_complex((2,), [((0, 3),)])
+
+
+def _workload_programs():
+    """The PV programs of the benchmark's workloads (its ``PV2`` and
+    ``PV3``), read from its file without running it."""
+    programs = {}
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("PV2", "PV3"):
+            programs.update(ast.literal_eval(node.value))
+    assert len(programs) >= 7
+    return programs
+
+
+PV_GRIDS = [compile_pv(parse_pv(src)) for _, src in sorted(_workload_programs().items())]
+
+
+def _check_construction(x):
+    """Adjacency sorted as documented, a topological ``_rank``, and the
+    same adjacency and flips after a JSON round trip."""
+    for v in range(x.n_vertices):
+        assert x.out_edges(v) == sorted(
+            (e for e, (s, _) in enumerate(x.edges) if s == v), key=lambda e: (x.edges[e][1], e))
+        assert x.in_edges(v) == sorted(
+            (e for e, (_, t) in enumerate(x.edges) if t == v), key=lambda e: (x.edges[e][0], e))
+    assert sorted(x._rank) == list(range(x.n_vertices))
+    assert all(x._rank[s] < x._rank[t] for s, t in x.edges)
+    y = PrecubicalSet.from_json(x.to_json())
+    assert (y._in, y._out, y._flips) == (x._in, x._out, x._flips)
+    assert all(y._rank[s] < y._rank[t] for s, t in y.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grids(), st.sampled_from(PV_GRIDS)), st.randoms(use_true_random=False))
+def test_grid_build_matches_the_cell_by_cell_reference(case, rnd):
+    dims, boxes = case
+    x = build_grid_complex(dims, boxes)
+    assert x.to_json() == grid_reference(dims, boxes).to_json()
+    _check_construction(x)
+    # a relabelled copy lists its vertices in no topological order
+    perm = list(range(x.n_vertices))
+    rnd.shuffle(perm)
+    _check_construction(relabel_complex(x, perm)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dag_models())
+def test_construction_of_random_dags(x):
+    _check_construction(x)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: PrecubicalSet(2, [(0, 1.7)]), r"edge \(0, 1.7\) must be 2 integers",
+                 id="float endpoint"),
+    pytest.param(lambda: PrecubicalSet(2, [(0, True)]), "must be 2 integers", id="bool endpoint"),
+    pytest.param(lambda: PrecubicalSet(2, [(0,)]), "must be 2 integers", id="short edge"),
+    pytest.param(lambda: PrecubicalSet(2, [5]), "integer sequences", id="edge an integer"),
+    pytest.param(lambda: PrecubicalSet(2.0, [(0, 1)]), "vertex count 2.0", id="float count"),
+    pytest.param(lambda: PrecubicalSet(True, []), "vertex count True", id="bool count"),
+    pytest.param(lambda: PrecubicalSet(-1, []), "vertex count -1", id="negative count"),
+    pytest.param(lambda: PrecubicalSet(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [(0.0, 1, 2, 3)]),
+                 "integer edge ids",
+                 id="float square edge"),
+    pytest.param(lambda: PrecubicalSet(2, [(0, 1)], labels={1.0: "x"}), "unknown vertex 1.0",
+                 id="float label key"),
+    pytest.param(lambda: build_grid_complex((2.5, 2)), "must be integers", id="float dim"),
+    pytest.param(lambda: build_grid_complex((True, 2)), "must be integers", id="bool dim"),
+    pytest.param(lambda: build_grid_complex((3, 3), [(1, 2)]), "integer pairs", id="box of ints"),
+    pytest.param(lambda: build_grid_complex((3, 3), [((1, 2), (1.5, 2))]), "integer pairs",
+                 id="float box end"),
+    pytest.param(lambda: build_grid_complex((3, 3), [((1, 2, 3), (1, 2))]), "integer pairs",
+                 id="box triple"),
+    pytest.param(lambda: build_grid_complex((3, 3), [5]), "integer pairs", id="box an integer"),
+])
+def test_constructors_refuse_what_is_not_an_integer(make, message):
+    # these were truncated by int(), or escaped as TypeError or ValueError
+    with pytest.raises(ModelError, match=message):
+        make()
