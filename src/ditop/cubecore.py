@@ -179,10 +179,12 @@ class PrecubicalSet:
             if not json_int_rows(doc.get(key, []), width):
                 raise ModelError(f"'{key}' must be a list of {width}-integer lists")
         labels = doc.get("labels", {})
-        # vertex ids as to_json writes them: ASCII digits, no leading zero
+        # vertex ids as to_json writes them: ASCII digits, no leading zero,
+        # no more digits than the vertex count (so int() can read them)
+        digits = len(str(n))
         if not isinstance(labels, dict) or not all(
-            k.isascii() and k.isdecimal() and (k[0] != "0" or k == "0") and isinstance(v, str)
-            for k, v in labels.items()
+            k.isascii() and k.isdecimal() and (k[0] != "0" or k == "0") and len(k) <= digits
+            and isinstance(v, str) for k, v in labels.items()
         ):
             raise ModelError("'labels' must map vertex ids to strings")
         coords = doc.get("coords")

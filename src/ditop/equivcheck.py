@@ -297,8 +297,8 @@ def _stages_1_to_3(x, y, f, g):
         for a, b in gamma(own):
             # a one-class pair maps bijectively exactly when its image has one class
             img = (induced_class_map(own, other, m, a, b)
-                   if trace_classes(own, a, b).count > 1 else (0,))
-            n_target = trace_classes(other, vm[a], vm[b]).count
+                   if _table(own, a).classes(own, b) > 1 else (0,))
+            n_target = _table(other, vm[a]).classes(other, vm[b])
             if len(set(img)) != len(img) or len(img) != n_target:
                 return EquivFailure(
                     f"{name}-class-bijection", (a, b),
@@ -327,6 +327,7 @@ def _unlifted(own, other, mv):
     reachable; or None.  Pairs go in ``gamma`` order, and the arrows of
     each along the in-edges of mv c, then the out-edges of mv d."""
     pairs = gamma(own)
+    members = pairs._members
     image = {}
     for a, b in pairs:
         image.setdefault((mv[a], mv[b]), []).append((a, b))
@@ -334,8 +335,9 @@ def _unlifted(own, other, mv):
         a, b = mv[c], mv[d]
         for target in ([(other.edges[e][0], b) for e in other.in_edges(a)]
                        + [(a, other.edges[e][1]) for e in other.out_edges(b)]):
-            if target in image and not any(
-                    (c2, c) in pairs and (d, d2) in pairs for c2, d2 in image[target]):
+            pre = image.get(target)
+            if pre is not None and not any(
+                    (c2, c) in members and (d, d2) in members for c2, d2 in pre):
                 return (c, d), target
     return None
 

@@ -11,6 +11,8 @@ flip either lies inside the prefix or uses the last two edges.  The same
 pass stores the suffix action ``ext_f`` of every edge, so the class of
 a path is a fold of ``ext`` along its edges, and the action of a prefix
 alpha follows by naturality: ``[alpha.q.f] = ext_f([alpha.q])``.
+A vertex whose one or two in-edges all start at one-class vertices is
+glued directly, by one flip test at most, without the member graph.
 
 Class ids follow the lexicographically least member of each class.
 Least members are prefix-closed (flips keep the length), so each class
@@ -59,14 +61,16 @@ class _Table:
     def _todo(self, x, v):
         """Vertices between a and v without classes yet, in topological
         order; a vertex with classes has them at every vertex before it."""
-        count, reach = self.count, self.reach
+        count, reach, edges = self.count, self.reach, x.edges
         if v in count:
             return ()
+        if all(edges[e][0] in count or edges[e][0] not in reach for e in x.in_edges(v)):
+            return (v,)
         seen = {v}
         stack = [v]
         while stack:
             for e in x.in_edges(stack.pop()):
-                u = x.edges[e][0]
+                u = edges[e][0]
                 if u in reach and u not in count and u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -84,15 +88,33 @@ class _Table:
     def _glue(self, x, v):
         """Classes at v from those of its in-neighbours, glued by flips."""
         reach, count, ext, flips, edges = self.reach, self.count, self.ext, x._flips, x.edges
-        head = v * len(edges)
+        key, head, width = self.key, v * len(edges), self.width
+        ins = [f for f in x.in_edges(v) if edges[f][0] in reach]
+        f, u = ins[0], edges[ins[0]][0]
+        if len(ins) == 1 and count[u] == 1:
+            count[v], key[v], ext[f] = 1, (key[u][0] + (head + f).to_bytes(width, "big"),), (0,)
+            return
+        if len(ins) == 2 and count[u] == 1 and count[edges[ins[1]][0]] == 1:
+            # two one-class members: one class when a flip with its corner
+            # in the reach joins them, else two ordered by key
+            g = ins[1]
+            kf = key[u][0] + (head + f).to_bytes(width, "big")
+            kg = key[edges[g][0]][0] + (head + g).to_bytes(width, "big")
+            if any(alt[1] == g for e1 in x.in_edges(u) if edges[e1][0] in reach
+                   for alt in flips.get((e1, f), ())):
+                count[v], key[v], ext[f], ext[g] = 1, (min(kf, kg),), (0,), (0,)
+            elif kf < kg:
+                count[v], key[v], ext[f], ext[g] = 2, (kf, kg), (0,), (1,)
+            else:
+                count[v], key[v], ext[f], ext[g] = 2, (kg, kf), (1,), (0,)
+            return
         cand = []  # per member (f, class at src f): its least path's key
         base = {}  # in-edge f -> index of its first member
-        for f in x.in_edges(v):
+        for f in ins:
             u = edges[f][0]
-            if u in reach:
-                base[f] = len(cand)
-                tail = (head + f).to_bytes(self.width, "big")
-                cand.extend([k + tail for k in self.key[u]])
+            base[f] = len(cand)
+            tail = (head + f).to_bytes(width, "big")
+            cand.extend([k + tail for k in key[u]])
         adj = [[] for _ in cand]
         for e2, i0 in base.items():
             for e1 in x.in_edges(edges[e2][0]):
@@ -124,7 +146,7 @@ class _Table:
         for c, i in enumerate(ranked):
             cid[label[i]] = c
         count[v] = len(ranked)
-        self.key[v] = tuple([cand[i] for i in ranked])
+        key[v] = tuple([cand[i] for i in ranked])
         for f, i in base.items():
             ext[f] = tuple([cid[c] for c in label[i:i + count[edges[f][0]]]])
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .cubecore import PrecubicalSet, gamma
-from .traceclass import trace_classes
+from .traceclass import _table
 
 
 @dataclass
@@ -243,13 +243,14 @@ class SectionWitness:
 
 def section_exists(x: PrecubicalSet):
     """Discrete section criterion: every pair in Gamma has exactly one
-    class.  Returns (True, SectionWitness) or (False, obstruction pair)."""
+    class.  Returns (True, SectionWitness) or (False, obstruction pair).
+    Pairs are read from the class tables in ``gamma`` order, so no pair
+    after the obstruction is checked against the path cap."""
     choices = {}
-    for pair in gamma(x):
-        cs = trace_classes(x, *pair)
-        if cs.count != 1:
-            return False, pair
-        choices[pair] = 0
+    for a, b in gamma(x):
+        if _table(x, a).classes(x, b) != 1:
+            return False, (a, b)
+        choices[(a, b)] = 0
     return True, SectionWitness(choices)
 
 

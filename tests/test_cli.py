@@ -379,6 +379,8 @@ MALFORMED_COMPLEXES = {
     "label key with a leading zero": ({"vertices": 4, "edges": [], "labels": {"03": "x"}},
                                       _LABELS),
     "label key negative": ({"vertices": 2, "edges": [], "labels": {"-1": "x"}}, _LABELS),
+    "label key too long to read": ({"vertices": 2, "edges": [], "labels": {"1" * 5000: "x"}},
+                                   _LABELS),
     "label not a string": ({"vertices": 2, "edges": [[0, 1]], "labels": {"0": 1}}, _LABELS),
     "coords not a list": ({"vertices": 2, "edges": [[0, 1]], "coords": 3}, _COORDS),
     "coords of strings": ({"vertices": 2, "edges": [[0, 1]], "coords": [["a"], ["b"]]},

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ditop import equivcheck
+from ditop import cubecore, equivcheck
 from ditop.cubecore import DPath, PrecubicalSet, build_grid_complex, gamma
 from ditop.equivcheck import (
     DMapData,
@@ -21,10 +21,11 @@ from ditop.equivcheck import (
     map_path,
     validate_dmap,
 )
-from ditop.errors import ModelError
+from ditop.errors import ModelError, PathCapExceeded
 from ditop.fixtures import get_fixture, matchbox_maps, sf_hs_maps
 from ditop.natsys import bisimilar, build_natural_system
 from ditop.traceclass import class_of, trace_classes
+from ditop.zhom import section_exists
 
 from conftest import dag_models, grid_models
 from oracles import (
@@ -457,3 +458,56 @@ def test_strong_lift_reads_the_suffix_class():
     assert class_of(t, DPath(0, (2,))) == 1
     i = identity_dmap(t)
     assert check_strong(t, t, i, i)
+
+
+def _section_obstruction(x):
+    ok, found = section_exists(x)
+    return None if ok else found
+
+
+def _obstruction_by_scan(x):
+    """The obstruction of section_exists by one trace_classes per pair,
+    in gamma order."""
+    for a, b in gamma(x):
+        if trace_classes(x, a, b).count != 1:
+            return a, b
+    return None
+
+
+def _equivalence_by_scan(x, y, f, g):
+    """Stage 1 of the check by trace_classes, in its reading order: per
+    pair of each side in gamma order, the own pair, then its image.  It
+    scans certificates that are equivalences, so it accepts once the
+    scan passes."""
+    for own, other, m in ((x, y, f), (y, x, g)):
+        for a, b in gamma(own):
+            trace_classes(own, a, b)
+            trace_classes(other, m.vertex_map[a], m.vertex_map[b])
+    return True
+
+
+def _at_cap(k, call, *models):
+    """``call`` on cold copies of ``models`` with the path cap at k, or
+    the pair and cap of its refusal."""
+    cold = [PrecubicalSet.from_json(w.to_json()) for w in models]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubecore, "DEFAULT_PATH_CAP", k)
+        try:
+            return call(*cold)
+        except PathCapExceeded as exc:
+            return exc.pair, exc.cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grid_models(), dag_models()), st.integers(0, 30), st.data())
+def test_per_pair_readers_stop_and_refuse_as_the_gamma_scan(x, k, data):
+    # the section criterion stops at its first two-class pair and the
+    # equivalence check reads own pair then image pair, so each refuses
+    # at the first pair over the cap that a scan through trace_classes
+    # reaches, and at no pair past an early stop
+    assert _at_cap(k, _section_obstruction, x) == _at_cap(k, _obstruction_by_scan, x)
+    i = identity_dmap(x)
+    relabelled = relabel_complex(x, data.draw(st.permutations(range(x.n_vertices))))
+    for y, f, g in ((x, i, i), relabelled):
+        assert (_at_cap(k, lambda v, w: check_dihomotopy_equivalence(v, w, f, g)[0], x, y)
+                == _at_cap(k, lambda v, w: _equivalence_by_scan(v, w, f, g), x, y))

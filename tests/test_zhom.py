@@ -16,7 +16,7 @@ from ditop.zhom import (
 )
 
 from conftest import ALL_FIXTURES, dag_models, grid_models
-from oracles import boundary_dense, det, homology_dense, mat_mul
+from oracles import boundary_dense, det, homology_dense, mat_mul, path_count_dp
 
 
 @st.composite
@@ -190,6 +190,14 @@ def test_pv1_obstruction_pair(pv1):
     ok, obstruction = section_exists(pv1)
     assert not ok
     assert obstruction == (0, 10)
+
+
+def test_section_stops_at_the_first_two_class_pair_before_the_cap():
+    # (0, top) has 2,695,444 dipaths, over the path cap, but the section
+    # criterion stops at (0, 49), the first pair with two classes
+    x = build_grid_complex((12, 12), [((1, 3), (9, 11)), ((9, 11), (1, 3))])
+    assert path_count_dp(x, 0, x.n_vertices - 1) == 2_695_444
+    assert section_exists(x) == (False, (0, 49))
 
 
 def test_section_witness_covers_gamma(seg, wedge):
