@@ -11,7 +11,7 @@ stronger pointwise conditions (a)-(d) that imply the diagrammatic ones.
 
 Both checks read the class tables of ``traceclass`` and list no dipaths.
 The action of an arrow (alpha, beta) depends only on the classes of
-alpha and beta, and two lemmas leave no arrow to search for:
+alpha and beta, and three lemmas leave no arrow to search for:
 
 1. A dmap m maps dipaths edge by edge and sends each flip to a flip or
    to a single path, so m(alpha.q.beta) ~ m(alpha).m(q).m(beta): the
@@ -23,14 +23,25 @@ alpha and beta, and two lemmas leave no arrow to search for:
    any such preimage with classes (F k, F l) maps onto one of classes
    (k, l), which acts as the given arrow, so it commutes by lemma 1:
    B, C, (c) and (d) fail only where no preimage extends (c, d).
+3. For an own edge c' -> c, an arrow of the other model from (m c, m d)
+   into (m c', m d) ends at the image of (c', d), which extends (c, d),
+   and so for the out-edges of d: only neighbours of m c and m d that no
+   own edge at c or d reaches can lack a preimage, and a relabelling has
+   none.
 
 So both checks run stages 1-3 and then one reachability test per side,
 B with the roles of (x, f) and (y, g) swapped from C, and they agree.
+Stage 1 reads the class maps of m at a source a off rows filled in
+topological order over its reach, as far as the pairs read need: the
+row of w, C(a, w) -> C(m a, m w), follows from the row of u through
+each in-edge u -> w, whose image acts by its ``ext`` (or not at all
+where m collapses it), and by lemma 1 all in-edges give the same row.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 
 from .cubecore import DPath, PrecubicalSet, gamma
@@ -216,12 +227,12 @@ def map_path(f: DMapData, p: DPath) -> DPath:
 
 def induced_class_map(x, y, f, a, b):
     """Tuple sending each class id at (a,b) in x to a class id at
-    (f(a),f(b)) in y, for a valid dmap f: x -> y."""
-    cs = trace_classes(x, a, b)
+    (f(a),f(b)) in y, for a valid dmap f: x -> y, by one row pass."""
+    trace_classes(x, a, b)
     fa = f.vertex_map[a]
     trace_classes(y, fa, f.vertex_map[b])
-    fold = _table(y, fa).fold
-    return tuple(fold(0, map_path(f, rep).edges) for rep in cs.representatives)
+    through = [i if tag == "e" else None for tag, i in f.edge_map]
+    return _table(x, a).rows(x, _table(y, fa), {a: (0,)}, b, through)[b]
 
 
 # -- equivalence checking ----------------------------------------------------
@@ -294,17 +305,20 @@ def _stages_1_to_3(x, y, f, g):
     inverses = []
     for name, own, other, m in (("f", x, y, f), ("g", y, x, g)):
         vm, inv = m.vertex_map, {}
-        for a, b in gamma(own):
-            # a one-class pair maps bijectively exactly when its image has one class
-            img = (induced_class_map(own, other, m, a, b)
-                   if _table(own, a).classes(own, b) > 1 else (0,))
-            n_target = _table(other, vm[a]).classes(other, vm[b])
-            if len(set(img)) != len(img) or len(img) != n_target:
-                return EquivFailure(
-                    f"{name}-class-bijection", (a, b),
-                    f"{len(img)} classes map onto {len(set(img))} of {n_target}",
-                ), None
-            inv[(a, b)] = tuple(img.index(i) for i in range(n_target))
+        through = [i if tag == "e" else None for tag, i in m.edge_map]
+        for a, bs in groupby(gamma(own), itemgetter(0)):
+            t, u, rows = _table(own, a), _table(other, vm[a]), {a: (0,)}
+            for _, b in bs:
+                # own pair, then image, each glued after its cap check; a
+                # one-class pair maps bijectively exactly when its image has one class
+                n, n_target = t.classes(own, b), u.classes(other, vm[b])
+                img = t.rows(own, u, rows, b, through)[b] if n > 1 else (0,)
+                if len(set(img)) != n or n != n_target:
+                    return EquivFailure(
+                        f"{name}-class-bijection", (a, b),
+                        f"{n} classes map onto {len(set(img))} of {n_target}",
+                    ), None
+                inv[(a, b)] = img if n == 1 else tuple(map(img.index, range(n)))
         inverses.append(inv)
     for stage, name, w, first, then in (
         ("gf-homotopy", "g*f", x, f, g), ("fg-homotopy", "f*g", y, g, f)
@@ -325,19 +339,24 @@ def _unlifted(own, other, mv):
     of an elementary arrow of ``other`` from (mv c, mv d) into an image
     pair, none of whose preimages (c2, d2) has (c2, c) and (d, d2)
     reachable; or None.  Pairs go in ``gamma`` order, and the arrows of
-    each along the in-edges of mv c, then the out-edges of mv d."""
-    pairs = gamma(own)
-    members = pairs._members
+    each along the in-edges of mv c, then the out-edges of mv d, skipping
+    by lemma 3 the neighbours that an own edge at c or d reaches."""
+    own_e, other_e, pairs = own.edges, other.edges, gamma(own)
+    ins = [[s for s in (other_e[e][0] for e in other.in_edges(mv[c]))
+            if s not in {mv[own_e[e][0]] for e in own.in_edges(c)}] for c in range(own.n_vertices)]
+    outs = [[t for t in (other_e[e][1] for e in other.out_edges(mv[d]))
+             if t not in {mv[own_e[e][1]] for e in own.out_edges(d)}] for d in range(own.n_vertices)]
+    if not (any(ins) or any(outs)):
+        return None
     image = {}
     for a, b in pairs:
         image.setdefault((mv[a], mv[b]), []).append((a, b))
     for c, d in pairs:
         a, b = mv[c], mv[d]
-        for target in ([(other.edges[e][0], b) for e in other.in_edges(a)]
-                       + [(a, other.edges[e][1]) for e in other.out_edges(b)]):
+        for target in [(s, b) for s in ins[c]] + [(a, t) for t in outs[d]]:
             pre = image.get(target)
             if pre is not None and not any(
-                    (c2, c) in members and (d, d2) in members for c2, d2 in pre):
+                    (c2, c) in pairs._members and (d, d2) in pairs._members for c2, d2 in pre):
                 return (c, d), target
     return None
 

@@ -47,9 +47,11 @@ class _Table:
         # once gamma is known, each source's reach is read from it
         self.reach = descendants(x, a) if x._gamma is None else x._gamma.reach(a)
         self.order = sorted(self.reach, key=x._rank.__getitem__)  # a first
-        paths = self.paths = {a: 1}  # v -> number of dipaths a -> v
-        for w in self.order[1:]:
-            paths[w] = sum(paths.get(x.edges[e][0], 0) for e in x.in_edges(w))
+        paths = self.paths = dict.fromkeys(self.order, 0)  # v -> dipaths a -> v
+        paths[a] = 1
+        for v in self.order:  # pushed on: every out-neighbour is in the reach
+            for e in x.out_edges(v):
+                paths[x.edges[e][1]] += paths[v]
         self.count = {a: 1}  # v -> number of classes
         self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
         # v -> per class: its least member as bytes, each edge f written
@@ -58,10 +60,10 @@ class _Table:
         self.width = (x.n_vertices * len(x.edges)).bit_length() // 8 + 1
         self.reps = {}  # v -> representatives
 
-    def _todo(self, x, v):
-        """Vertices between a and v without classes yet, in topological
-        order; a vertex with classes has them at every vertex before it."""
-        count, reach, edges = self.count, self.reach, x.edges
+    def _todo(self, x, v, count):
+        """Vertices between a and v not in ``count`` yet (classes or rows),
+        in topological order; a vertex in it has every vertex before it."""
+        reach, edges = self.reach, x.edges
         if v in count:
             return ()
         if all(edges[e][0] in count or edges[e][0] not in reach for e in x.in_edges(v)):
@@ -81,7 +83,7 @@ class _Table:
         cap of dipaths reach v."""
         if self.paths[v] > cubecore.DEFAULT_PATH_CAP:
             raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
-        for w in self._todo(x, v):
+        for w in self._todo(x, v, self.count):
             self._glue(x, w)
         return self.count[v]
 
@@ -169,19 +171,28 @@ class _Table:
                 for k in self.key[v]])
         return reps
 
-    def prefix_rows(self, x, outer, k):
-        """Per vertex w of the reach: the map [q] -> [alpha.q] from
-        C(a, w) to C(outer.a, w), for a prefix alpha: outer.a -> a of
-        class k.  Both tables must be whole."""
-        rows = {self.a: (k,)}
-        for w in self.order[1:]:
+    def rows(self, x, outer, rows, v=None, through=None):
+        """Fill ``rows`` from rows[a] = ([alpha],) in topological order,
+        over the whole reach or up to v: per vertex w, the map [q] ->
+        [alpha.m(q)] from C(a, w) to C(outer.a, m w), where m sends edge f
+        to ``through[f]`` or collapses it at None (the identity without
+        ``through``).  In-edges into w agree by lemma 1 of ``equivcheck``;
+        ``outer`` must be glued at the images."""
+        ext, theirs, edges = self.ext, outer.ext, x.edges
+        for w in self.order[1:] if v is None else self._todo(x, v, rows):
             row = [0] * self.count[w]
             for f in x.in_edges(w):
-                up = rows.get(x.edges[f][0])
+                up = rows.get(edges[f][0])
                 if up is not None:
-                    own, theirs = self.ext[f], outer.ext[f]
-                    for c, image in enumerate(up):
-                        row[own[c]] = theirs[image]
+                    own = ext[f]
+                    g = f if through is None else through[f]
+                    if g is None:
+                        for c, image in enumerate(up):
+                            row[own[c]] = image
+                    else:
+                        th = theirs[g]
+                        for c, image in enumerate(up):
+                            row[own[c]] = th[image]
             rows[w] = tuple(row)
         return rows
 
@@ -251,7 +262,7 @@ def whole_tables(x: PrecubicalSet):
         in_rows = []
         for e in x.in_edges(t.a):
             outer = tables[x.edges[e][0]]
-            in_rows.append((outer.a, t.prefix_rows(x, outer, outer.ext[e][0])))
+            in_rows.append((outer.a, t.rows(x, outer, {t.a: outer.ext[e][:1]})))
         whole.append((t, in_rows))
     return whole
 

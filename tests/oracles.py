@@ -11,8 +11,9 @@ bijection group, dense Smith normal form instead of sparse unit pivots, a
 diTC search that solves every part from scratch over all of its pairs
 instead of keeping a witness on its multi-class pairs, an equivalence
 check that tries every pair of dipaths as an arrow instead of every pair
-of classes, and a natural class system built pair by pair through
-one-pair queries instead of from whole class tables.
+of classes, a lifting scan over every arrow and every pair instead of
+the neighbours that no edge lifts, and a natural class system built pair
+by pair through one-pair queries instead of from whole class tables.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -587,6 +588,24 @@ def connection_commutes_by_paths(x, maps, forward, classes=None):
             if w.cls(start, end, p + conn[b]) != w.cls(start, end, conn[a] + q):
                 return False
     return True
+
+
+def unlifted_reference(own, other, vm):
+    """The first lifting diagram of ``equivcheck._unlifted`` with no
+    preimage under the vertex map ``vm``, or None, by a full scan: every
+    pair of ``closure_pairs`` in sorted order, every elementary arrow of
+    ``other`` out of its image (sources of in-edges, then targets of
+    out-edges, each in sorted order), and every pair as a preimage."""
+    pairs = sorted(closure_pairs(own))
+    members = set(pairs)
+    for c, d in pairs:
+        a, b = vm[c], vm[d]
+        for target in ([(s, b) for s, t in sorted(other.edges) if t == a]
+                       + [(a, t) for s, t in sorted(other.edges) if s == b]):
+            pre = [(c2, d2) for c2, d2 in pairs if (vm[c2], vm[d2]) == target]
+            if pre and not any((c2, c) in members and (d, d2) in members for c2, d2 in pre):
+                return (c, d), target
+    return None
 
 
 def equiv_by_paths(x, y, f, g):

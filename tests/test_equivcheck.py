@@ -29,7 +29,8 @@ from ditop.zhom import section_exists
 
 from conftest import dag_models, grid_models
 from oracles import (
-    _PathClasses, _map_edges, connection_commutes_by_paths, equiv_by_paths, relabel_complex)
+    _PathClasses, _map_edges, connection_commutes_by_paths, equiv_by_paths, relabel_complex,
+    unlifted_reference)
 
 
 def test_identity_validates(any_fixture):
@@ -358,6 +359,30 @@ def _induced_by_paths(own, other, m):
     vm = m.vertex_map
     return {(a, b): tuple(other.cls(vm[a], vm[b], _map_edges(m, p)) for p in own.least(a, b))
             for a, b in own.pairs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(EQUIV_MODELS, EQUIV_MODELS, st.randoms(use_true_random=False))
+def test_induced_class_maps_match_the_listed_dipaths(x, y, rng):
+    # the row pass, collapsed edges included, against the class of the
+    # image of each least member
+    m = _random_dmap(rng, x, y)
+    assume(m is not None)
+    for (a, b), img in _induced_by_paths(_PathClasses(x), _PathClasses(y), m).items():
+        assert induced_class_map(x, y, m, a, b) == img, (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificates())
+def test_unlifted_matches_the_full_scan(cert):
+    # lemma 3: skipping the neighbours that an own edge lifts keeps the
+    # first miss, on random dmaps, relabellings and layer collapses with
+    # their inclusions
+    assume(cert is not None)
+    x, y, f, g = cert
+    for own, other, m in ((x, y, f), (y, x, g)):
+        vm = m.vertex_map
+        assert equivcheck._unlifted(own, other, vm) == unlifted_reference(own, other, vm)
 
 
 @settings(max_examples=150, deadline=None)
