@@ -36,7 +36,6 @@ from .pvlang import PVProgram, PVSyntaxError, compile_pv, parse_pv, pretty_print
 from .traceclass import ClassSet, ExtensionArrow, class_of, extend_class, trace_classes
 from .zhom import (
     homology_ranks,
-    initial_state_upgrade,
     is_contractible_surrogate,
     is_dicontractible,
     section_exists,

@@ -72,9 +72,10 @@ class PrecubicalSet:
             self._out[src[e]].append(e)
         for e in sorted(range(len(edges)), key=src.__getitem__):
             self._in[tgt[e]].append(e)
-        # position of each vertex in one topological order (Kahn's), which
-        # the sort inverts: the vertex at position i gets rank i
-        order = [v for v, adj in enumerate(self._in) if not adj]
+        # one topological order (Kahn's), minimal vertices first, and the
+        # position of each vertex in it, which the sort inverts: the
+        # vertex at position i gets rank i
+        order = self._order = [v for v, adj in enumerate(self._in) if not adj]
         indeg = list(map(len, self._in))
         for v in order:
             for w in map(tgt.__getitem__, self._out[v]):
@@ -245,12 +246,26 @@ def reachable(x: PrecubicalSet, a: int, b: int) -> bool:
 
 
 def gamma(x: PrecubicalSet) -> GammaSet:
-    """The reachability relation, as a sorted tuple of pairs."""
+    """The reachability relation, as a sorted tuple of pairs.
+
+    One pass in reverse topological order makes the reach of every vertex
+    a bitset, its own bit or'ed with its out-neighbours' reaches.  The
+    pairs of a source are read off its bitset by lowest set bit, which
+    yields them in ascending order at one step per pair."""
     if x._gamma is not None:
         return x._gamma
+    edges, out, reach = x.edges, x._out, [0] * x.n_vertices
+    for v in reversed(x._order):
+        r = 1 << v
+        for e in out[v]:
+            r |= reach[edges[e][1]]
+        reach[v] = r
     pairs = []
-    for a in range(x.n_vertices):
-        pairs.extend((a, b) for b in sorted(descendants(x, a)))
+    for a, r in enumerate(reach):
+        while r:
+            low = r & -r
+            pairs.append((a, low.bit_length() - 1))
+            r ^= low
     x._gamma = GammaSet(tuple(pairs))
     return x._gamma
 

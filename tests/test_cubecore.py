@@ -100,6 +100,17 @@ def test_gamma_matches_closure_oracle(any_fixture):
     assert set(gamma(x).pairs) == closure_pairs(x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(dag_models())
+def test_gamma_pairs_and_reach_match_the_closure_oracle(x):
+    # vertex ids in no topological order, and parallel edges
+    g = gamma(x)
+    want = sorted(closure_pairs(x))
+    assert g.pairs == tuple(want)
+    for a in range(x.n_vertices):
+        assert g.reach(a) == {b for s, b in want if s == a}
+
+
 def test_reachable_consistent_with_gamma(sf):
     pairs = set(gamma(sf).pairs)
     for a in range(sf.n_vertices):

@@ -3,20 +3,22 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ditop import zhom
-from ditop.cubecore import PrecubicalSet, build_grid_complex
+from ditop import cubecore, zhom
+from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma, grid_vertex
+from ditop.errors import PathCapExceeded
 from ditop.fixtures import get_fixture
+from ditop.traceclass import trace_classes
 from ditop.zhom import (
     homology_ranks,
-    initial_state_upgrade,
     is_contractible_surrogate,
     is_dicontractible,
     section_exists,
     smith_normal_form,
 )
 
-from conftest import ALL_FIXTURES, dag_models, grid_models
-from oracles import boundary_dense, det, homology_dense, mat_mul, path_count_dp
+from conftest import ALL_FIXTURES, dag_models, grid_models, larger_grid_models
+from oracles import (
+    boundary_dense, det, flip_class_count, homology_dense, mat_mul, path_count_dp, relabel_complex)
 
 
 @st.composite
@@ -211,20 +213,85 @@ def test_section_witness_covers_gamma(seg, wedge):
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_initial_state_upgrade_consistent(name):
+def test_section_check_agrees_with_the_table_scan(name):
     x = get_fixture(name)
-    up = initial_state_upgrade(x)
-    if up:
-        assert is_dicontractible(x)
+    first = next((p for p in gamma(x) if trace_classes(x, *p).count > 1), None)
+    assert zhom._one_class_within_cap(x) == (first is None)
+    ok, found = section_exists(x)
+    assert (ok, None if ok else found) == (first is None, first)
 
 
-def test_initial_state_upgrade_rejects_wedge(wedge):
-    # two maximal ends: no vertex reaches everything... the wedge start does
-    assert initial_state_upgrade(wedge)
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grid_models(), larger_grid_models(), dag_models()), st.data())
+def test_section_criterion_matches_the_flip_oracle(x, data):
+    # with the path cap lifted the bitset check decides every model, so a
+    # True answer glues no class table
+    y, _, _ = relabel_complex(x, data.draw(st.permutations(range(x.n_vertices))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubecore, "DEFAULT_PATH_CAP", 10**30)
+        for z in (x, y):
+            ok, _ = section_exists(z)
+            assert ok == all(flip_class_count(z, a, b) == 1 for a, b in gamma(z))
+            assert (z._class_cache == {}) == ok
 
 
-def test_no_initial_state():
-    from ditop.cubecore import PrecubicalSet
+def test_three_in_edges_joined_through_the_third():
+    # the xy-square ending at (2, 2, 2) is cut, so its x and y in-edges
+    # are joined only through the z in-edge: by its xz- and yz-squares
+    # for a source that reaches (2, 2, 1), by nothing for one that does not
+    x = build_grid_complex((3, 3, 3), [[(1, 2), (1, 2), (1, 3)]])
+    v = grid_vertex(x, (2, 2, 2))
+    assert len(x.in_edges(v)) == 3
+    assert trace_classes(x, 0, v).count == 1
+    assert trace_classes(x, grid_vertex(x, (0, 0, 2)), v).count == 2
+    assert section_exists(x) == (False, (grid_vertex(x, (0, 0, 2)), v))
 
-    x = PrecubicalSet(3, [(0, 2), (1, 2)])  # two sources
-    assert not initial_state_upgrade(x)
+
+def test_three_in_edges_disconnected_for_a_source():
+    # cutting the xz-square as well leaves the x in-edge of (2, 2, 2) on
+    # its own, for the least corner too
+    x = build_grid_complex((3, 3, 3), [[(1, 2), (1, 2), (1, 3)], [(1, 2), (1, 3), (1, 2)]])
+    v = grid_vertex(x, (2, 2, 2))
+    assert len(x.in_edges(v)) == 3
+    assert trace_classes(x, 0, v).count == 2
+    assert section_exists(x) == (False, (0, v))
+
+
+def test_a_one_class_model_is_decided_without_a_class_table():
+    x = build_grid_complex((7, 7))
+    ok, witness = section_exists(x)
+    assert ok
+    assert witness.choices == dict.fromkeys(gamma(x), 0)
+    assert x._class_cache == {}
+
+
+def test_the_path_cap_is_read_at_each_call(monkeypatch):
+    # the largest dipath count, 20 from corner to corner, is bounded by
+    # the cap as it stands at the call, and refused at the first pair of
+    # gamma over it
+    x = build_grid_complex((3, 3))
+    assert section_exists(x)[0]
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 19)
+    with pytest.raises(PathCapExceeded) as exc:
+        section_exists(x)
+    assert exc.value.pair == (0, x.n_vertices - 1)
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 20)
+    assert section_exists(x)[0]
+    # every minimal vertex is counted from, not only the first
+    y = PrecubicalSet(x.n_vertices + 1, [(s + 1, t + 1) for s, t in x.edges], x.squares)
+    assert section_exists(y)[0]
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 19)
+    with pytest.raises(PathCapExceeded) as exc:
+        section_exists(y)
+    assert exc.value.pair == (1, y.n_vertices - 1)
+
+
+def test_a_source_spreads_over_more_than_one_round():
+    # the in-edges 3, 4, 5 of vertex 4 are joined by the squares 5-4 and
+    # 3-5, in that order, so the source 0, which starts at 3, reaches 4
+    # only in a second round
+    x = PrecubicalSet(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+                      [(2, 5, 1, 4), (0, 3, 2, 5)])
+    assert all(flip_class_count(x, a, b) == 1 for a, b in gamma(x))
+    assert section_exists(x)[0]
+    assert x._class_cache == {}
