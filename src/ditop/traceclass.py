@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cubecore
-from .cubecore import DPath, PrecubicalSet, concat, descendants, gamma
+from .cubecore import DPath, PrecubicalSet, descendants, gamma
 from .errors import ModelError, PathCapExceeded
 
 
@@ -177,9 +177,14 @@ class _Table:
         [alpha.m(q)] from C(a, w) to C(outer.a, m w), where m sends edge f
         to ``through[f]`` or collapses it at None (the identity without
         ``through``).  In-edges into w agree by lemma 1 of ``equivcheck``;
-        ``outer`` must be glued at the images."""
+        ``outer`` must be glued at the images.  Without ``through`` the
+        image is w itself, and a map into its one class is constant."""
         ext, theirs, edges = self.ext, outer.ext, x.edges
+        single = outer.count if through is None else {}
         for w in self.order[1:] if v is None else self._todo(x, v, rows):
+            if single.get(w) == 1:
+                rows[w] = (0,) * self.count[w]
+                continue
             row = [0] * self.count[w]
             for f in x.in_edges(w):
                 up = rows.get(edges[f][0])
@@ -296,11 +301,6 @@ def extend_class(x: PrecubicalSet, arrow: ExtensionArrow, c: int) -> int:
     return action[c]
 
 
-def identity_arrow(pair) -> ExtensionArrow:
-    x, y = pair
-    return ExtensionArrow(pair, pair, DPath(x), DPath(y))
-
-
 def elementary_arrows(x: PrecubicalSet, pair):
     """Elementary extensions out of a pair: one in-edge prefix or one
     out-edge suffix, the other side constant.  Deterministic order."""
@@ -311,15 +311,3 @@ def elementary_arrows(x: PrecubicalSet, pair):
     for e in x.out_edges(b):
         t = x.edges[e][1]
         yield ExtensionArrow((a, b), (a, t), DPath(a), DPath(b, (e,)))
-
-
-def compose_arrows(x: PrecubicalSet, first: ExtensionArrow, second: ExtensionArrow) -> ExtensionArrow:
-    """Composite extension: apply ``first`` then ``second``."""
-    if first.target != second.source:
-        raise ModelError("arrows do not compose")
-    return ExtensionArrow(
-        first.source,
-        second.target,
-        concat(x, second.alpha, first.alpha),
-        concat(x, first.beta, second.beta),
-    )

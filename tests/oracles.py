@@ -14,6 +14,8 @@ check that tries every pair of dipaths as an arrow instead of every pair
 of classes, a lifting scan over every arrow and every pair instead of
 the neighbours that no edge lifts, and a natural class system built pair
 by pair through one-pair queries instead of from whole class tables.
+It also holds the extension helpers that only tests use: the identity
+arrow of a pair and the composite of two arrows.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -235,6 +237,31 @@ def elementary_actions(x, pair):
 
     for arrow in elementary_arrows(x, pair):
         yield arrow.target, arrow_action(x, arrow)
+
+
+def identity_arrow(pair):
+    """The identity extension of a pair: both paths constant."""
+    from ditop.cubecore import DPath
+    from ditop.traceclass import ExtensionArrow
+
+    x, y = pair
+    return ExtensionArrow(pair, pair, DPath(x), DPath(y))
+
+
+def compose_arrows(x, first, second):
+    """Composite extension: apply ``first`` then ``second``."""
+    from ditop.cubecore import concat
+    from ditop.errors import ModelError
+    from ditop.traceclass import ExtensionArrow
+
+    if first.target != second.source:
+        raise ModelError("arrows do not compose")
+    return ExtensionArrow(
+        first.source,
+        second.target,
+        concat(x, second.alpha, first.alpha),
+        concat(x, first.beta, second.beta),
+    )
 
 
 def natural_system_reference(x):

@@ -18,15 +18,11 @@ from ditop.equivcheck import (
 )
 from ditop.fixtures import get_fixture, matchbox_maps
 from ditop.natsys import bisimilar, build_natural_system
-from ditop.traceclass import (
-    compose_arrows,
-    elementary_arrows,
-    extend_class,
-    trace_classes,
-)
+from ditop.traceclass import elementary_arrows, extend_class, trace_classes
 from ditop.zhom import is_dicontractible, smith_normal_form
 
-from oracles import det, flip_class_count, mat_mul, path_count_dp, relabel_complex
+from oracles import (
+    compose_arrows, det, flip_class_count, mat_mul, path_count_dp, relabel_complex)
 
 
 def _report(capsys, n, label, ok, started, limit):

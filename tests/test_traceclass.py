@@ -9,15 +9,14 @@ from ditop.traceclass import (
     _table,
     arrow_action,
     class_of,
-    compose_arrows,
     elementary_arrows,
     extend_class,
-    identity_arrow,
     trace_classes,
 )
 
 from conftest import dag_models, grid_models
-from oracles import closure_pairs, flip_class_count, flip_classes, path_count_dp
+from oracles import (
+    closure_pairs, compose_arrows, flip_class_count, flip_classes, identity_arrow, path_count_dp)
 
 MODELS = st.one_of(grid_models(), dag_models())
 
