@@ -322,15 +322,17 @@ def _refine(queue, n_s, counts, arrows, preds, block, members, aut, phi):
 
     def moves(u):
         """u's moves as read from the blocks: the blocks of the one-class
-        objects they reach, its arrows into multi-class objects as (block,
-        phi . act), and its own block and phi if it has several classes."""
+        objects they reach, the set of its arrows into multi-class objects
+        as (block, phi . act), and its own block and phi if it has several
+        classes.  Sets, so that members whose arrows come in another order
+        share a memo entry."""
         got = split.get(u)
         if got is None:
             off = n_s if u >= n_s else 0
             got = split[u] = ([off + v for v, _ in arrows[u] if counts[off + v] == 1],
                               [(off + v, act) for v, act in arrows[u] if counts[off + v] > 1])
         one, many = got
-        out = tuple([(block[v], _compose(phi[v], act)) for v, act in many])
+        out = frozenset([(block[v], _compose(phi[v], act)) for v, act in many])
         if counts[u] > 1:
             return frozenset([block[v] for v in one]), out, (block[u], phi[u])
         return frozenset([block[u]] + [block[v] for v in one]), out, None

@@ -177,14 +177,11 @@ class _Table:
         [alpha.m(q)] from C(a, w) to C(outer.a, m w), where m sends edge f
         to ``through[f]`` or collapses it at None (the identity without
         ``through``).  In-edges into w agree by lemma 1 of ``equivcheck``;
-        ``outer`` must be glued at the images.  Without ``through`` the
-        image is w itself, and a map into its one class is constant."""
+        ``outer`` must be glued at the images.  Rows already in ``rows``
+        are kept."""
         ext, theirs, edges = self.ext, outer.ext, x.edges
-        single = outer.count if through is None else {}
-        for w in self.order[1:] if v is None else self._todo(x, v, rows):
-            if single.get(w) == 1:
-                rows[w] = (0,) * self.count[w]
-                continue
+        todo = [w for w in self.order[1:] if w not in rows] if v is None else self._todo(x, v, rows)
+        for w in todo:
             row = [0] * self.count[w]
             for f in x.in_edges(w):
                 up = rows.get(edges[f][0])
@@ -267,7 +264,10 @@ def whole_tables(x: PrecubicalSet):
         in_rows = []
         for e in x.in_edges(t.a):
             outer = tables[x.edges[e][0]]
-            in_rows.append((outer.a, t.rows(x, outer, {t.a: outer.ext[e][:1]})))
+            # a map into the one class of (outer.a, w) is constant
+            rows = {w: (0,) * t.count[w] for w in t.order[1:] if outer.count[w] == 1}
+            rows[t.a] = outer.ext[e][:1]
+            in_rows.append((outer.a, t.rows(x, outer, rows)))
         whole.append((t, in_rows))
     return whole
 
