@@ -87,6 +87,7 @@ class PrecubicalSet:
         self._rank = sorted(range(n), key=order.__getitem__)
         self._class_cache = {}
         self._gamma = None
+        self._ends = None  # per vertex, the squares ending at it: see square_ends
 
     # -- construction checks -------------------------------------------------
 
@@ -236,6 +237,16 @@ class GammaSet:
         """The vertices reachable from a, a included."""
         lo, hi = (bisect.bisect_left(self.pairs, (v,)) for v in (a, a + 1))
         return {b for _, b in self.pairs[lo:hi]}
+
+
+def square_ends(x: PrecubicalSet):
+    """Per vertex: the squares (b, r, l, t) that end at it, listed once
+    per complex when first asked for."""
+    if x._ends is None:
+        ends = x._ends = [[] for _ in range(x.n_vertices)]
+        for sq in x.squares:
+            ends[x.edges[sq[1]][1]].append(sq)
+    return x._ends
 
 
 def reachable(x: PrecubicalSet, a: int, b: int) -> bool:

@@ -12,6 +12,14 @@ the 4x4 grid with box ((1,2),(1,2)) and its last axis-0 layer collapsed
 have a dihomotopy equivalence that ``check_dihomotopy_equivalence``
 accepts, yet they are not bisimilar here, at left object (24, 24).
 
+``build_natural_system`` reads counts and actions off the class tables
+of ``traceclass.whole_tables``, which glues only the pairs that its
+one-class bitsets leave open.  A source whose pairs are all certified
+has no table unless a prefix row needs one: its counts are 1 and its
+suffix actions (0,).  A prefix row into a certified pair is the
+constant 0 and is not stored.  Each distinct action tuple is stored
+once.
+
 ``bisimilar`` decides this on the disjoint union S + T.  A bisimulation
 of S + T with itself restricted to S x T is a bisimulation between S
 and T, and one between S and T is one of S + T, so the greatest
@@ -60,7 +68,7 @@ from typing import Callable
 
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
-from .traceclass import whole_tables
+from .traceclass import _ONE, whole_tables
 
 BIJECTION_CAP = 6
 
@@ -114,14 +122,29 @@ def build_natural_system(x: PrecubicalSet) -> NaturalClassSystem:
     Every pair's dipaths are counted and checked against the path cap
     ``cubecore.DEFAULT_PATH_CAP`` before any class work."""
     objects = tuple(gamma(x))
-    index = {pair: i for i, pair in enumerate(objects)}
     tables = whole_tables(x)
+    index = [{} for _ in tables]  # a -> b -> the index of object (a, b)
+    for i, (a, b) in enumerate(objects):
+        index[a][b] = i
+    out, edges = x._out, x.edges
+    share = {}.setdefault  # each distinct action is stored once
     counts, arrows = [], []
-    for a, b in objects:
-        t, in_rows = tables[a]
-        counts.append(t.count[b])
-        arrows.append(tuple([(index[s, b], rows[b]) for s, rows in in_rows]
-                            + [(index[a, x.edges[e][1]], t.ext[e]) for e in x.out_edges(b)]))
+    for a, (t, in_rows) in enumerate(tables):
+        # without a table, every pair from a has one class and every
+        # edge from its reach the action (0,)
+        mine, count, ext = index[a], t.count if t else {}, t.ext if t else {}
+        ins = [(index[s], rows) for s, rows in in_rows]
+        for b in mine:  # in gamma order
+            k = count.get(b, 1)
+            counts.append(k)
+            arr = []
+            for theirs, rows in ins:
+                act = rows.get(b) or (0,) * k
+                arr.append((theirs[b], share(act, act)))
+            for e in out[b]:
+                act = ext.get(e, _ONE)
+                arr.append((mine[edges[e][1]], share(act, act)))
+            arrows.append(tuple(arr))
     return NaturalClassSystem(objects, tuple(counts), tuple(arrows))
 
 
@@ -186,6 +209,11 @@ def _refinement_colors(counts, preds):
 
 
 @functools.cache
+def _identity(k):
+    return tuple(range(k))
+
+
+@functools.cache
 def _symmetric(k):
     return frozenset(itertools.permutations(range(k)))
 
@@ -223,7 +251,7 @@ def bisimilar(s: NaturalClassSystem, t: NaturalClassSystem):
     counts = s.counts + t.counts
     arrows = s.arrows + t.arrows  # T's targets are read with the offset n_s
     n = len(counts)
-    phi = [tuple(range(k)) for k in counts]
+    phi = [_identity(k) for k in counts]
     # who reaches whom on S + T, for the colours and for the re-checks
     preds = [[] for _ in counts]
     for offset, system in ((0, s), (n_s, t)):
@@ -323,16 +351,17 @@ def _refine(queue, n_s, counts, arrows, preds, block, members, aut, phi):
     def moves(u):
         """u's moves as read from the blocks: the blocks of the one-class
         objects they reach, the set of its arrows into multi-class objects
-        as (block, phi . act), and its own block and phi if it has several
-        classes.  Sets, so that members whose arrows come in another order
-        share a memo entry."""
+        as (block, phi . act), which is act where phi is the identity, and
+        its own block and phi if it has several classes.  Sets, so that
+        members whose arrows come in another order share a memo entry."""
         got = split.get(u)
         if got is None:
             off = n_s if u >= n_s else 0
             got = split[u] = ([off + v for v, _ in arrows[u] if counts[off + v] == 1],
                               [(off + v, act) for v, act in arrows[u] if counts[off + v] > 1])
         one, many = got
-        out = frozenset([(block[v], _compose(phi[v], act)) for v, act in many])
+        out = frozenset([(block[v], act if phi[v] == _identity(counts[v]) else _compose(phi[v], act))
+                         for v, act in many])
         if counts[u] > 1:
             return frozenset([block[v] for v in one]), out, (block[u], phi[u])
         return frozenset([block[u]] + [block[v] for v in one]), out, None
@@ -409,7 +438,7 @@ def _refine(queue, n_s, counts, arrows, preds, block, members, aut, phi):
                 new.append((us, passed[0][1], [min(keep) for _, keep in passed]))
             else:
                 for u in us:
-                    ident = tuple(range(counts[u]))
+                    ident = _identity(counts[u])
                     new.append(([u], frozenset((ident,)), [ident]))
         for i, (us, new_group, new_phi) in enumerate(new):
             if i == 0:

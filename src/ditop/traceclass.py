@@ -19,21 +19,33 @@ Least members are prefix-closed (flips keep the length), so each class
 keeps its least member as key bytes, a least key before it plus one
 fixed-width chunk per edge, and representatives are decoded from the
 keys only when asked for.  Tables are cached on the complex; a one-pair
-query glues one only over the vertices it needs, ``whole_tables`` glues
-all of them whole.  A table counts the dipaths to every vertex of its
-reach by dynamic programming when it is made, and a pair with more than
+query glues one only over the vertices it needs.  ``whole_tables``
+glues only the pairs that the one-class bitsets of
+``one_class_sources`` leave open: a certified pair gets one class and
+the action (0,) on its in-edges, and its least key is made only when a
+glue or a representative reads it.  A source with no open pair gets a
+table only if a prefix row needs one.
+
+A table counts the dipaths to every vertex of its reach by dynamic
+programming at its first cap check, and a pair with more than
 ``cubecore.DEFAULT_PATH_CAP`` dipaths is refused before any class work:
-a one-pair query checks its own pair, ``whole_tables`` every pair in
-``gamma`` order.  The cap is that one constant, read at each check,
-with no per-call override.
+a one-pair query checks its own pair.  ``whole_tables`` counts the
+dipaths from each minimal vertex once, which bounds every pair, and
+reads the per-source counts only when that bound is over the cap, to
+name the first pair over it in ``gamma`` order.  The cap is that one
+constant, read at each check, with no per-call override.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import cubecore
-from .cubecore import DPath, PrecubicalSet, descendants, gamma
+from .cubecore import DPath, PrecubicalSet, descendants, gamma, square_ends
 from .errors import ModelError, PathCapExceeded
+
+
+_ONE = (0,)  # the action of an edge between one-class pairs
 
 
 class _Table:
@@ -47,11 +59,7 @@ class _Table:
         # once gamma is known, each source's reach is read from it
         self.reach = descendants(x, a) if x._gamma is None else x._gamma.reach(a)
         self.order = sorted(self.reach, key=x._rank.__getitem__)  # a first
-        paths = self.paths = dict.fromkeys(self.order, 0)  # v -> dipaths a -> v
-        paths[a] = 1
-        for v in self.order:  # pushed on: every out-neighbour is in the reach
-            for e in x.out_edges(v):
-                paths[x.edges[e][1]] += paths[v]
+        self.paths = None  # v -> dipaths a -> v, counted at the first cap check
         self.count = {a: 1}  # v -> number of classes
         self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
         # v -> per class: its least member as bytes, each edge f written
@@ -78,10 +86,22 @@ class _Table:
                     stack.append(u)
         return sorted(seen, key=x._rank.__getitem__)
 
+    def dipaths(self, x):
+        """v -> the number of dipaths a -> v over the whole reach, counted
+        once by dynamic programming."""
+        paths = self.paths
+        if paths is None:
+            paths = self.paths = dict.fromkeys(self.order, 0)
+            paths[self.a] = 1
+            for v in self.order:  # pushed on: every out-neighbour is in the reach
+                for e in x.out_edges(v):
+                    paths[x.edges[e][1]] += paths[v]
+        return paths
+
     def classes(self, x, v):
         """The number of classes at v, refused when more than the path
         cap of dipaths reach v."""
-        if self.paths[v] > cubecore.DEFAULT_PATH_CAP:
+        if (self.paths or self.dipaths(x))[v] > cubecore.DEFAULT_PATH_CAP:
             raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
         for w in self._todo(x, v, self.count):
             self._glue(x, w)
@@ -113,44 +133,60 @@ class _Table:
         cand = []  # per member (f, class at src f): its least path's key
         base = {}  # in-edge f -> index of its first member
         for f in ins:
-            u = edges[f][0]
             base[f] = len(cand)
             tail = (head + f).to_bytes(width, "big")
-            cand.extend([k + tail for k in key[u]])
-        adj = [[] for _ in cand]
-        for e2, i0 in base.items():
-            for e1 in x.in_edges(edges[e2][0]):
-                pair = (e1, e2)
-                if edges[e1][0] not in reach:
-                    continue
-                for alt in flips.get(pair, ()):
-                    # each square is read from both of its edge pairs; glue once
-                    if alt <= pair:
-                        continue
-                    j0 = base[alt[1]]
-                    for i, j in zip(ext[e1], ext[alt[0]]):
-                        adj[i0 + i].append(j0 + j)
-                        adj[j0 + j].append(i0 + i)
-        label = [-1] * len(cand)
-        least = []  # per component: its least member
-        for i, nbrs in enumerate(adj):
-            if label[i] < 0:
-                label[i] = len(least)
-                component = [i]
-                for j in component:
-                    for k in adj[j]:
-                        if label[k] < 0:
-                            label[k] = label[i]
-                            component.append(k)
-                least.append(min(component, key=cand.__getitem__) if nbrs else i)
-        ranked = sorted(least, key=cand.__getitem__) if len(least) > 1 else least
-        cid = [0] * len(least)
-        for c, i in enumerate(ranked):
-            cid[label[i]] = c
+            cand.extend([k + tail for k in key[edges[f][0]]])
+        label = list(range(len(cand)))  # member -> a member of its class
+        for b, r, l, t in square_ends(x)[v]:
+            if edges[b][0] in reach:  # the corner: then r and t are in ins
+                i0, j0 = base[r], base[t]
+                for i, j in zip(ext[b], ext[l]):
+                    li, lj = label[i0 + i], label[j0 + j]
+                    if li != lj:
+                        label = [li if k == lj else k for k in label]
+        least = {}  # per class: its least member
+        for i, k in enumerate(label):
+            j = least.get(k)
+            if j is None or cand[i] < cand[j]:
+                least[k] = i
+        ranked = sorted(least.values(), key=cand.__getitem__)
+        cid = {label[i]: c for c, i in enumerate(ranked)}
         count[v] = len(ranked)
         key[v] = tuple([cand[i] for i in ranked])
         for f, i in base.items():
-            ext[f] = tuple([cid[c] for c in label[i:i + count[edges[f][0]]]])
+            ext[f] = tuple([cid[k] for k in label[i:i + count[edges[f][0]]]])
+
+    def fill(self, x, opened):
+        """Classes over the whole reach, given the vertices whose pairs
+        ``one_class_sources`` leaves open, in topological order.  Every
+        other vertex gets one class and the action (0,) on its in-edges,
+        its least key left to ``least``; the open ones are glued.  What
+        earlier queries glued is kept."""
+        reach, edges, key = self.reach, x.edges, self.key
+        self.count = {**dict.fromkeys(self.order, 1), **self.count}
+        inside = chain.from_iterable(map(x._out.__getitem__, self.order))
+        self.ext = {**dict.fromkeys(inside, _ONE), **self.ext}
+        for w in opened:
+            if w not in key:
+                for f in x.in_edges(w):
+                    u = edges[f][0]
+                    if u not in key and u in reach:
+                        self.least(x, u)
+                self._glue(x, w)
+
+    def least(self, x, v):
+        """The least keys at v.  A vertex that ``fill`` did not glue has
+        one class, and so has every vertex before it, so all dipaths to
+        it have one length and its least key is the least over its
+        in-edges f of the least key at src f plus f's chunk."""
+        key = self.key
+        if v not in key:
+            reach, edges, width, m = self.reach, x.edges, self.width, len(x.edges)
+            for w in self._todo(x, v, key):
+                head = w * m
+                key[w] = (min([key[edges[f][0]][0] + (head + f).to_bytes(width, "big")
+                               for f in x.in_edges(w) if edges[f][0] in reach]),)
+        return key[v]
 
     def fold(self, c, edges):
         """Class of p.edges given the class c of a path p ending at the
@@ -168,23 +204,30 @@ class _Table:
             reps = self.reps[v] = tuple([
                 DPath(self.a, tuple([int.from_bytes(k[i:i + w], "big") % m
                                      for i in range(0, len(k), w)]))
-                for k in self.key[v]])
+                for k in self.least(x, v)])
         return reps
 
-    def rows(self, x, outer, rows, v=None, through=None):
-        """Fill ``rows`` from rows[a] = ([alpha],) in topological order,
-        over the whole reach or up to v: per vertex w, the map [q] ->
-        [alpha.m(q)] from C(a, w) to C(outer.a, m w), where m sends edge f
-        to ``through[f]`` or collapses it at None (the identity without
-        ``through``).  In-edges into w agree by lemma 1 of ``equivcheck``;
-        ``outer`` must be glued at the images.  Rows already in ``rows``
-        are kept."""
-        ext, theirs, edges = self.ext, outer.ext, x.edges
-        todo = [w for w in self.order[1:] if w not in rows] if v is None else self._todo(x, v, rows)
+    def rows(self, x, outer, rows, v, through=None):
+        """Fill ``rows`` from rows[a] = ([alpha],) in topological order up
+        to v: per vertex w, the map [q] -> [alpha.m(q)] from C(a, w) to
+        C(outer.a, m w), where m sends edge f to ``through[f]`` or
+        collapses it at None (the identity without ``through``).  In-edges
+        into w agree by lemma 1 of ``equivcheck``; ``outer`` must be glued
+        at the images.  Rows already in ``rows`` are kept."""
+        return self.rows_at(x, outer, rows, self._todo(x, v, rows), through)
+
+    def rows_at(self, x, outer, rows, todo, through=None):
+        """Fill ``rows`` at the vertices ``todo``, in topological order, as
+        ``rows`` does.  An in-neighbour in the reach without a row has the
+        constant row 0."""
+        ext, theirs, edges, reach, count = self.ext, outer.ext, x.edges, self.reach, self.count
         for w in todo:
-            row = [0] * self.count[w]
+            row = [0] * count[w]
             for f in x.in_edges(w):
-                up = rows.get(edges[f][0])
+                u = edges[f][0]
+                up = rows.get(u)
+                if up is None and u in reach:
+                    up = (0,) * count[u]
                 if up is not None:
                     own = ext[f]
                     g = f if through is None else through[f]
@@ -245,29 +288,137 @@ def trace_classes(x: PrecubicalSet, a: int, b: int) -> ClassSet:
     return ClassSet((a, b), t.classes(x, b), x)
 
 
+def one_class_sources(x: PrecubicalSet):
+    """(ANC, ONE): per vertex v, the bitset of the sources that reach v,
+    v included, and of those a for which the lemma below certifies that
+    (a, v) has one class.  One pass in topological order.
+
+    Lemma.  Take a source a and a vertex v != a whose in-neighbours
+    reached from a have one class each.  By the glue rule, C(a, v) is
+    then one class exactly when the in-edges of v from the reach of a
+    are connected by the squares (b, r, l, t) ending at v whose corner
+    src b is reached from a, each joining r and t.  So a is in ONE[v]
+    when a == v, or when a is in ONE[src f] for every in-edge f of v
+    from its reach and those in-edges are so connected.  By induction in
+    topological order, every pair has one class exactly when ONE == ANC;
+    on its own, ONE only certifies, as an in-neighbour with two classes
+    may still leave one at v.
+
+    With J[r, t] the union of ANC[src b] over the squares (b, r, l, t)
+    with r != t, connection is checked on bitsets at each vertex with two
+    in-edges or more: each source starts at its first in-edge from its
+    reach, spreads along J for at most one round per in-edge, and must
+    reach every in-edge f with its bit in ANC[src f].  With two in-edges
+    f and g this is ANC[src f] & ANC[src g] & ~J[f, g] == 0."""
+    edges, ins_of = x.edges, x._in
+    anc = [0] * x.n_vertices
+    one = [0] * x.n_vertices
+    ends = square_ends(x)
+    for v in x._order:
+        ins = ins_of[v]
+        if len(ins) < 2:
+            if ins:
+                u = edges[ins[0]][0]
+                anc[v], one[v] = anc[u] | 1 << v, one[u] | 1 << v
+            else:
+                anc[v] = one[v] = 1 << v
+            continue
+        seen = bad = 0
+        for f in ins:
+            u = edges[f][0]
+            seen |= anc[u]
+            bad |= anc[u] & ~one[u]
+        links = [(r, t, anc[edges[b][0]]) for b, r, l, t in ends[v] if r != t]
+        if len(ins) == 2:
+            f, g = ins
+            joined = 0
+            for r, t, bits in links:
+                joined |= bits
+            bad |= anc[edges[f][0]] & anc[edges[g][0]] & ~joined
+        else:
+            reached, first = {}, 0  # each source starts at its first in-edge
+            for f in ins:
+                bits = anc[edges[f][0]]
+                reached[f] = bits & ~first
+                first |= bits
+            for _ in ins:
+                grown = False
+                for r, t, bits in links:
+                    to_t, to_r = reached[r] & bits, reached[t] & bits
+                    if to_t & ~reached[t] or to_r & ~reached[r]:
+                        reached[t] |= to_t
+                        reached[r] |= to_r
+                        grown = True
+                if not grown:
+                    break
+            for f in ins:
+                bad |= anc[edges[f][0]] & ~reached[f]
+        anc[v] = seen | 1 << v
+        one[v] = anc[v] & ~bad
+    return anc, one
+
+
+def within_path_cap(x: PrecubicalSet) -> bool:
+    """True when no pair has more dipaths than the path cap.  Prefixing a
+    fixed dipath m -> a is injective on the dipaths a -> b, so the
+    largest dipath count of any pair is that of a pair from a minimal
+    vertex: one count per minimal vertex bounds every pair."""
+    cap, edges, out, order = cubecore.DEFAULT_PATH_CAP, x.edges, x._out, x._order
+    for i, m in enumerate(order):
+        if x._in[m]:
+            break  # the minimal vertices come first in order
+        paths = [0] * x.n_vertices  # v -> dipaths m -> v
+        paths[m] = 1
+        for v in order[i:]:
+            count = paths[v]
+            if count > cap:
+                return False
+            for e in out[v]:
+                paths[edges[e][1]] += count
+    return True
+
+
 def whole_tables(x: PrecubicalSet):
-    """Per vertex a: its class table glued over its whole reach, and
-    (s, prefix rows) of each in-edge s -> a.  A refusal names the first
-    pair of ``gamma`` over the path cap, before any class is glued."""
+    """Per vertex a: its class table filled over its whole reach, or None
+    when every pair from a is certified by ``one_class_sources`` and no
+    prefix row needs it; and (s, prefix rows) of each in-edge s -> a,
+    where a vertex without a row maps into a certified pair (s, w), so
+    its row is constant 0.  Only the open pairs are glued.  A refusal
+    names the first pair of ``gamma`` over the path cap, before any class
+    is glued: the per-source dipath counts are read only when the bound
+    of ``within_path_cap`` exceeds the cap."""
     cap = cubecore.DEFAULT_PATH_CAP
     pairs = gamma(x)  # first, so that new tables read their reach from it
-    tables = [_table(x, a) for a in range(x.n_vertices)]
-    for a, b in pairs:
-        if tables[a].paths[b] > cap:
-            raise PathCapExceeded((a, b), cap)
+    if not within_path_cap(x):
+        for a, b in pairs:
+            if _table(x, a).dipaths(x)[b] > cap:
+                raise PathCapExceeded((a, b), cap)
+    anc, one = one_class_sources(x)
+    opened = [[] for _ in anc]  # a -> the vertices v with (a, v) open
+    for v in x._order:
+        bits = anc[v] & ~one[v]
+        while bits:
+            low = bits & -bits
+            opened[low.bit_length() - 1].append(v)
+            bits ^= low
+    tables = [_table(x, a) if vs else None for a, vs in enumerate(opened)]
     for t in tables:
-        for w in t.order:
-            if w not in t.count:
-                t._glue(x, w)
+        if t:
+            t.fill(x, opened[t.a])
     whole = []
-    for t in tables:
+    for a, t in enumerate(tables):
         in_rows = []
-        for e in x.in_edges(t.a):
-            outer = tables[x.edges[e][0]]
-            # a map into the one class of (outer.a, w) is constant
-            rows = {w: (0,) * t.count[w] for w in t.order[1:] if outer.count[w] == 1}
-            rows[t.a] = outer.ext[e][:1]
-            in_rows.append((outer.a, t.rows(x, outer, rows)))
+        for e in x.in_edges(a):
+            s = x.edges[e][0]
+            outer = tables[s]
+            rows = {a: outer.ext[e][:1] if outer else _ONE}
+            todo = [w for w in opened[s] if anc[w] >> a & 1 and w != a]
+            if todo:
+                if t is None:
+                    t = tables[a] = _table(x, a)
+                    t.fill(x, ())
+                t.rows_at(x, outer, rows, todo)
+            in_rows.append((s, rows))
         whole.append((t, in_rows))
     return whole
 

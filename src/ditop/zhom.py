@@ -12,23 +12,10 @@ the contractibility surrogate (trivial reduced homology in dimensions
 carries exactly one dihomotopy class.
 
 The section criterion is first decided for all sources at once, with
-no class table.  Lemma: take a source a and a vertex v != a whose
-in-neighbours reached from a have one class each.  By the glue rule of
-``traceclass``, C(a, v) is then one class exactly when the in-edges of
-v from the reach of a are connected by the squares (b, r, l, t) ending
-at v whose corner src b is reached from a, each joining r and t.  By
-induction in topological order, every pair has one class exactly when
-this holds at every v for every a.  With ANC[v] the bitset of the
-sources that reach v, and J[r, t] the union of ANC[src b] over the
-squares (b, r, l, t) with r != t, it is checked at each vertex with two
-in-edges or more: each source starts at its first in-edge from its
-reach, spreads along J for at most one round per in-edge, and must
-reach every in-edge f with its bit in ANC[src f].  With two in-edges f
-and g this is ANC[src f] & ANC[src g] & ~J[f, g] == 0.
-
-Prefixing a fixed dipath m -> a is injective on the dipaths a -> b, so
-the largest dipath count of any pair is that of a pair from a minimal
-vertex: one count per minimal vertex bounds every pair by the path cap,
+no class table: every pair has one class exactly when the one-class
+bitsets of ``traceclass.one_class_sources`` certify every pair (the
+lemma is stated there), and one dipath count per minimal vertex
+(``traceclass.within_path_cap``) bounds every pair by the path cap,
 ``cubecore.DEFAULT_PATH_CAP`` as read at the call.  A model that fails
 either check falls back to the scan over the class tables in ``gamma``
 order, which names the first obstruction pair or the first pair over
@@ -39,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from . import cubecore
 from .cubecore import PrecubicalSet, gamma
-from .traceclass import _table
+from .traceclass import _table, one_class_sources, within_path_cap
 
 
 @dataclass
@@ -267,52 +253,10 @@ class SectionWitness:
 
 def _one_class_within_cap(x: PrecubicalSet) -> bool:
     """True when every pair of gamma has one class and at most the path
-    cap of dipaths: the lemma of the module docstring, checked for all
-    sources at once on bitsets, then one path count per minimal vertex."""
-    edges, ins_of, order = x.edges, x._in, x._order
-    anc = [0] * x.n_vertices  # v -> bitset of the sources that reach v
-    for v in order:
-        bits = 1 << v
-        for f in ins_of[v]:
-            bits |= anc[edges[f][0]]
-        anc[v] = bits
-    links = {}  # v -> (r, t, sources that reach the corner) per square
-    for b, r, l, t in x.squares:
-        if r != t:
-            links.setdefault(edges[r][1], []).append((r, t, anc[edges[b][0]]))
-    for v, ins in enumerate(ins_of):
-        if len(ins) < 2:
-            continue
-        present = {f: anc[edges[f][0]] for f in ins}
-        reached, seen = {}, 0  # each source starts at its first in-edge
-        for f, bits in present.items():
-            reached[f] = bits & ~seen
-            seen |= bits
-        for _ in ins:
-            grown = False
-            for r, t, bits in links.get(v, ()):
-                to_t, to_r = reached[r] & bits, reached[t] & bits
-                if to_t & ~reached[t] or to_r & ~reached[r]:
-                    reached[t] |= to_t
-                    reached[r] |= to_r
-                    grown = True
-            if not grown:
-                break
-        if reached != present:
-            return False
-    cap, out = cubecore.DEFAULT_PATH_CAP, x._out
-    for i, m in enumerate(order):
-        if ins_of[m]:
-            break  # the minimal vertices come first in order
-        paths = [0] * x.n_vertices  # v -> dipaths m -> v
-        paths[m] = 1
-        for v in order[i:]:
-            count = paths[v]
-            if count > cap:
-                return False
-            for e in out[v]:
-                paths[edges[e][1]] += count
-    return True
+    cap of dipaths: ONE == ANC of ``traceclass.one_class_sources``, then
+    the bound of ``traceclass.within_path_cap``."""
+    anc, one = one_class_sources(x)
+    return anc == one and within_path_cap(x)
 
 
 def section_exists(x: PrecubicalSet):

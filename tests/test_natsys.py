@@ -3,6 +3,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ditop import cubecore
 from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma
+from ditop.equivcheck import identity_dmap, induced_class_map
 from ditop.errors import BudgetExceeded, PathCapExceeded
 from ditop.fixtures import get_fixture
 from ditop.natsys import (
@@ -15,7 +16,7 @@ from ditop.natsys import (
     is_weakly_dicontractible,
     trivial_system,
 )
-from ditop.traceclass import elementary_arrows, trace_classes
+from ditop.traceclass import class_of, elementary_arrows, trace_classes
 from ditop.zhom import is_dicontractible
 
 from conftest import ALL_FIXTURES, collapse_pairs, dag_models, grid_models, larger_grid_models
@@ -410,3 +411,30 @@ def test_natural_system_matches_the_flip_oracle(x):
                        for rep in reps))
                 for ar in elementary_arrows(x, pair)]
         assert list(arrows) == want
+
+
+def test_each_distinct_action_is_stored_once():
+    s = build_natural_system(_holed(8))
+    actions = [act for arrows in s.arrows for _, act in arrows]
+    assert len({id(act) for act in actions}) == len(set(actions)) == 3
+
+
+def _pair_queries(x, a, b):
+    """What lazy queries answer at (a, b): its class count, representatives,
+    the class of each representative and the identity's class map."""
+    cs = trace_classes(x, a, b)
+    reps = cs.representatives
+    return (cs.count, reps, [class_of(x, p) for p in reps],
+            induced_class_map(x, x, identity_dmap(x), a, b))
+
+
+# The tables a natural system leaves in the cache answer later one-pair
+# queries as tables glued pair by pair do, though it glued only open pairs.
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_models(), dag_models()))
+@example(_reversed(get_fixture("matchbox")))
+def test_tables_left_by_a_natural_system_answer_later_queries(x):
+    fresh = PrecubicalSet.from_json(x.to_json())
+    build_natural_system(x)
+    for a, b in gamma(x):
+        assert _pair_queries(x, a, b) == _pair_queries(fresh, a, b)

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ditop import cubecore
+from ditop import cubecore, zhom
 from ditop.cubecore import (
     DPath, PrecubicalSet, build_grid_complex, enumerate_dpaths, gamma, grid_vertex)
 from ditop.errors import ModelError, PathCapExceeded
@@ -11,12 +11,14 @@ from ditop.traceclass import (
     class_of,
     elementary_arrows,
     extend_class,
+    one_class_sources,
     trace_classes,
 )
 
 from conftest import dag_models, grid_models
 from oracles import (
-    closure_pairs, compose_arrows, flip_class_count, flip_classes, identity_arrow, path_count_dp)
+    closure_pairs, compose_arrows, flip_class_count, flip_classes, identity_arrow, path_count_dp,
+    relabel_complex)
 
 MODELS = st.one_of(grid_models(), dag_models())
 
@@ -193,8 +195,8 @@ def test_a_table_counts_the_dipaths_to_its_whole_reach(x, data):
     def check(w, sources):
         for a in sources:
             t = _table(w, a)
-            assert set(t.paths) == t.reach
-            assert all(t.paths[v] == path_count_dp(w, a, v) for v in t.reach)
+            assert set(t.dipaths(w)) == t.reach
+            assert all(t.dipaths(w)[v] == path_count_dp(w, a, v) for v in t.reach)
 
     sources = st.lists(st.integers(0, x.n_vertices - 1), min_size=1, max_size=3)
     check(PrecubicalSet.from_json(x.to_json()), data.draw(sources))
@@ -220,3 +222,41 @@ def test_one_pair_builds_only_the_vertices_between_it():
     between = {v for v in range(x.n_vertices)
                if all(p <= c <= q for p, c, q in zip((1, 1), x.coords[v], (2, 3)))}
     assert set(x._class_cache[a].count) == between
+
+
+# Vertex 4 has the in-edges 3, 4 and 5, joined by the squares 5-4 and 3-5
+# in that order: source 0 starts at edge 3 and reaches edge 4 only in a
+# second round of spreading.
+SPREADS_TWICE = PrecubicalSet(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+                              [(2, 5, 1, 4), (0, 3, 2, 5)])
+
+
+@st.composite
+def relabelled(draw, models):
+    x = draw(models)
+    return relabel_complex(x, draw(st.permutations(range(x.n_vertices))))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(MODELS, relabelled(MODELS)))
+@example(SPREADS_TWICE)
+def test_one_class_sources_match_the_flip_oracle(x):
+    anc, one = one_class_sources(x)
+    pairs = closure_pairs(x)
+    single = {(a, v) for a, v in pairs if flip_class_count(x, a, v) == 1}
+    for v in range(x.n_vertices):
+        assert anc[v] == sum(1 << a for a in range(x.n_vertices) if (a, v) in pairs)
+        for a in range(x.n_vertices):
+            if not anc[v] >> a & 1:
+                continue
+            # certified only with one class; and exactly then, once every
+            # in-neighbour that a reaches is certified (the lemma)
+            if one[v] >> a & 1:
+                assert (a, v) in single
+            ins = [u for u, w in x.edges if w == v and anc[u] >> a & 1]
+            if all(one[u] >> a & 1 for u in ins):
+                assert bool(one[v] >> a & 1) == ((a, v) in single)
+    assert (anc == one) == (single == pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubecore, "DEFAULT_PATH_CAP", 10**30)
+        assert zhom._one_class_within_cap(x) == (anc == one)
