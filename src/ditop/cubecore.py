@@ -88,6 +88,7 @@ class PrecubicalSet:
         self._class_cache = {}
         self._gamma = None
         self._ends = None  # per vertex, the squares ending at it: see square_ends
+        self._vertex_at = None  # lattice point -> vertex id: see grid_vertex
 
     # -- construction checks -------------------------------------------------
 
@@ -127,11 +128,6 @@ class PrecubicalSet:
         last square listed when the pair bounds several."""
         alts = self._flips.get((e1, e2))
         return alts[-1] if alts else None
-
-    @cached_property
-    def _vertex_at(self):
-        """Lattice point -> vertex id, for grid models."""
-        return {c: i for i, c in enumerate(self.coords)}
 
     def check_vertex(self, v):
         if not (0 <= v < self.n_vertices):
@@ -429,6 +425,8 @@ def grid_vertex(x: PrecubicalSet, point) -> int:
     """Vertex id of a lattice point in a grid complex."""
     if x.coords is None:
         raise ModelError("not a grid complex")
+    if x._vertex_at is None:
+        x._vertex_at = {c: i for i, c in enumerate(x.coords)}
     point = tuple(point)
     v = x._vertex_at.get(point)
     if v is None:

@@ -36,6 +36,9 @@ topological order over its reach, as far as the pairs read need: the
 row of w, C(a, w) -> C(m a, m w), follows from the row of u through
 each in-edge u -> w, whose image acts by its ``ext`` (or not at all
 where m collapses it), and by lemma 1 all in-edges give the same row.
+A pair that ``traceclass.certified_sources`` certifies, with its image
+certified in the other model, maps bijectively with the row (0,) and
+reads no table; a source gets its two tables at its first other pair.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ from operator import itemgetter
 
 from .cubecore import DPath, PrecubicalSet, gamma
 from .errors import ModelError
-from .traceclass import _table, trace_classes
+from .traceclass import _ONE, _table, certified_sources, trace_classes
 
 
 @dataclass(frozen=True)
@@ -268,22 +271,30 @@ def _connection_commutes(w, h, forward):
     Forward, p * w_b against w_a * h(p), both a -> h(b); backward,
     h(p) * w_b against w_a * p, both h(a) -> b.  Both sides are folds
     over the class table of their start, and a pair whose folds land in
-    a one-class pair is skipped.  Every pair of w must be traced.  Only
-    the first connecting dipaths are tried, so a refusal is conservative
-    on models where some class set has more than one class."""
+    a one-class pair is skipped.  Every table is glued, through
+    ``classes``, up to the pair it is read at, so w's pairs must be
+    within the path cap.  Only the first connecting dipaths are tried,
+    so a refusal is conservative on models where some class set has
+    more than one class."""
     vm, pairs = h.vertex_map, gamma(w)
     ends = [(v, vm[v]) if forward else (vm[v], v) for v in range(w.n_vertices)]
     if not all(end in pairs for end in ends):
         return False
+
+    def glued(s, t):  # the table of s, glued up to t
+        table = _table(w, s)
+        table.classes(w, t)
+        return table
+
     # the first dipath of a pair is the least member of its class 0, so
     # in the table of a's side class 0 at the other end of w_a is [w_a]
-    conn = [_table(w, s).representatives(w, t)[0].edges for s, t in ends]
+    conn = [glued(s, t).representatives(w, t)[0].edges for s, t in ends]
     for a, b in pairs:
         start, end = (a, vm[b]) if forward else (vm[a], b)
         table = _table(w, start)
-        if table.count[end] == 1:
+        if table.classes(w, end) == 1:
             continue
-        for rep in _table(w, a).representatives(w, b):
+        for rep in glued(a, b).representatives(w, b):
             hp = map_path(h, rep).edges
             p, q = (rep.edges, hp) if forward else (hp, rep.edges)
             if table.fold(table.fold(0, p), conn[b]) != table.fold(0, q):
@@ -295,20 +306,29 @@ def _stages_1_to_3(x, y, f, g):
     """Stages 1-3 of both checks: dmap validation, class bijections of f
     then g, homotopies of g*f then f*g to the identities.  Returns
     (None, (F, G)), the inverse class maps per own pair, or
-    (EquivFailure, None).  Every pair of both models is traced within
-    the path cap once stage 1 has passed, so stage 3 reads the tables
-    only."""
+    (EquivFailure, None).  Stage 1 reads the pairs of each side in
+    ``gamma`` order, the own pair then its image, and skips those that
+    are certified on both sides.  It skips none unless both models are
+    within the path cap, so it refuses at the first pair over the cap of
+    that order, and once it has passed stage 3 reads no pair over it."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
             raise ModelError(f"invalid dmap {name}: {bad[0]}")
+    gamma(x), gamma(y)  # first, so that every table reads its reach from gamma
+    ones = certified_sources(x)[1], certified_sources(y)[1]
     inverses = []
-    for name, own, other, m in (("f", x, y, f), ("g", y, x, g)):
+    for name, own, other, m, one, theirs in (("f", x, y, f, *ones), ("g", y, x, g, *ones[::-1])):
         vm, inv = m.vertex_map, {}
         through = [i if tag == "e" else None for tag, i in m.edge_map]
         for a, bs in groupby(gamma(own), itemgetter(0)):
-            t, u, rows = _table(own, a), _table(other, vm[a]), {a: (0,)}
+            t, ma, rows = None, vm[a], {a: _ONE}
             for _, b in bs:
+                if one[b] >> a & 1 and theirs[vm[b]] >> ma & 1:
+                    inv[(a, b)] = rows[b] = _ONE  # one class on both sides
+                    continue
+                if t is None:
+                    t, u = _table(own, a), _table(other, ma)
                 # own pair, then image, each glued after its cap check; a
                 # one-class pair maps bijectively exactly when its image has one class
                 n, n_target = t.classes(own, b), u.classes(other, vm[b])
@@ -348,9 +368,13 @@ def _unlifted(own, other, mv):
              if t not in {mv[own_e[e][1]] for e in own.out_edges(d)}] for d in range(own.n_vertices)]
     if not (any(ins) or any(outs)):
         return None
+    # a target is (s, mv d) with s in some ins, or (mv c, t) with t in
+    # some outs: only the pairs with such an image are indexed
+    firsts, seconds = set().union(*ins), set().union(*outs)
     image = {}
     for a, b in pairs:
-        image.setdefault((mv[a], mv[b]), []).append((a, b))
+        if mv[a] in firsts or mv[b] in seconds:
+            image.setdefault((mv[a], mv[b]), []).append((a, b))
     for c, d in pairs:
         a, b = mv[c], mv[d]
         for target in [(s, b) for s in ins[c]] + [(a, t) for t in outs[d]]:

@@ -378,6 +378,17 @@ def within_path_cap(x: PrecubicalSet) -> bool:
     return True
 
 
+def certified_sources(x: PrecubicalSet):
+    """(ANC, ONE) of ``one_class_sources``, with ONE certifying nothing
+    when ``within_path_cap`` fails.  A per-pair reader skips the pairs
+    that ONE certifies, which have one class and are within the cap, and
+    reads every other pair from the class tables: on a model that may
+    have a pair over the cap it reads all of them, so it refuses at the
+    same pair as a scan of every pair."""
+    anc, one = one_class_sources(x)
+    return anc, one if within_path_cap(x) else [0] * len(one)
+
+
 def whole_tables(x: PrecubicalSet):
     """Per vertex a: its class table filled over its whole reach, or None
     when every pair from a is certified by ``one_class_sources`` and no

@@ -14,12 +14,12 @@ carries exactly one dihomotopy class.
 The section criterion is first decided for all sources at once, with
 no class table: every pair has one class exactly when the one-class
 bitsets of ``traceclass.one_class_sources`` certify every pair (the
-lemma is stated there), and one dipath count per minimal vertex
-(``traceclass.within_path_cap``) bounds every pair by the path cap,
-``cubecore.DEFAULT_PATH_CAP`` as read at the call.  A model that fails
-either check falls back to the scan over the class tables in ``gamma``
-order, which names the first obstruction pair or the first pair over
-the cap.
+lemma is stated there), and they count as certified only when one
+dipath count per minimal vertex (``traceclass.within_path_cap``) bounds
+every pair by the path cap, ``cubecore.DEFAULT_PATH_CAP`` as read at the
+call; both are read through ``traceclass.certified_sources``.  Any other
+model falls back to the scan over the class tables in ``gamma`` order,
+which names the first obstruction pair or the first pair over the cap.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .cubecore import PrecubicalSet, gamma
-from .traceclass import _table, one_class_sources, within_path_cap
+from .traceclass import _table, certified_sources
 
 
 @dataclass
@@ -253,10 +253,9 @@ class SectionWitness:
 
 def _one_class_within_cap(x: PrecubicalSet) -> bool:
     """True when every pair of gamma has one class and at most the path
-    cap of dipaths: ONE == ANC of ``traceclass.one_class_sources``, then
-    the bound of ``traceclass.within_path_cap``."""
-    anc, one = one_class_sources(x)
-    return anc == one and within_path_cap(x)
+    cap of dipaths: ``traceclass.certified_sources`` certifies them all."""
+    anc, one = certified_sources(x)
+    return anc == one
 
 
 def section_exists(x: PrecubicalSet):

@@ -24,7 +24,7 @@ from ditop.equivcheck import (
 from ditop.errors import ModelError, PathCapExceeded
 from ditop.fixtures import get_fixture, matchbox_maps, sf_hs_maps
 from ditop.natsys import bisimilar, build_natural_system
-from ditop.traceclass import class_of, trace_classes
+from ditop.traceclass import class_of, one_class_sources, trace_classes
 from ditop.zhom import section_exists
 
 from conftest import dag_models, grid_models
@@ -351,6 +351,90 @@ def test_equivalence_matches_the_path_oracle(cert):
     ok, res = check_dihomotopy_equivalence(x, y, f, g)
     assert (ok, None if ok else (res.stage, res.location)) == equiv_by_paths(x, y, f, g)
     assert ok or not check_strong(x, y, f, g)
+
+
+def _equivalence_by_tables(x, y, f, g):
+    """The check with no pair skipped: stage 1 reads every own pair and
+    then its image through ``trace_classes``, and the class map of each
+    own pair through ``induced_class_map``; stage 3 and the diagrams come
+    from ``connection_commutes_by_paths`` and ``unlifted_reference``.
+    Returns (True, (F, G)) or (False, EquivFailure)."""
+    inverses = []
+    for name, own, other, m in (("f", x, y, f), ("g", y, x, g)):
+        vm, inv = m.vertex_map, {}
+        for a, b in gamma(own):
+            n = trace_classes(own, a, b).count
+            n_target = trace_classes(other, vm[a], vm[b]).count
+            img = induced_class_map(own, other, m, a, b)
+            if len(set(img)) != n or n != n_target:
+                return False, EquivFailure(f"{name}-class-bijection", (a, b),
+                                           f"{n} classes map onto {len(set(img))} of {n_target}")
+            inv[(a, b)] = tuple(map(img.index, range(n)))
+        inverses.append(inv)
+    for stage, name, w, first, then in (
+        ("gf-homotopy", "g*f", x, f, g), ("fg-homotopy", "f*g", y, g, f)
+    ):
+        if ([then.vertex_map[v] for v in first.vertex_map] != list(range(w.n_vertices))
+                and not any(connection_commutes_by_paths(w, [first, then], forward)
+                            for forward in (True, False))):
+            return False, EquivFailure(stage, (), f"{name} admits no directed homotopy to id")
+    for label, own, other, m in (("B", y, x, g), ("C", x, y, f)):
+        miss = unlifted_reference(own, other, m.vertex_map)
+        if miss is not None:
+            return False, EquivFailure(
+                f"diagram-{label}", miss, "no preimage pair extends the source")
+    return True, tuple(inverses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificates())
+def test_equivalence_matches_the_table_reference(cert):
+    # the whole failure, detail text included, and the inverse class maps
+    # F and G, from cold copies against a check that skips no pair
+    assume(cert is not None)
+    x, y, f, g = cert
+    cx = PrecubicalSet.from_json(x.to_json())
+    cy = cx if y is x else PrecubicalSet.from_json(y.to_json())
+    ok, res = check_dihomotopy_equivalence(cx, cy, f, g)
+    assert (ok, (res.F, res.G) if ok else res) == _equivalence_by_tables(x, y, f, g)
+
+
+def _open_sources(x):
+    """The sources a with a pair (a, v) that ``one_class_sources`` leaves
+    open."""
+    anc, one = one_class_sources(x)
+    return {a for v in range(x.n_vertices) for a in range(x.n_vertices)
+            if (anc[v] & ~one[v]) >> a & 1}
+
+
+def test_a_relabelled_check_tables_only_the_sources_with_an_open_pair():
+    # on the 3x3 grid with its centre cell removed, a pair certified on
+    # both sides reads no table, so a source gets its tables only at its
+    # first pair with two classes or more in either model
+    x = build_grid_complex((3, 3), [((1, 2), (1, 2))])
+    perm = list(range(x.n_vertices))
+    random.Random(3).shuffle(perm)
+    y, f, g = relabel_complex(x, perm)
+    assert check_dihomotopy_equivalence(x, y, f, g)[0]
+    opened = _open_sources(x)
+    assert 0 < len(opened) < x.n_vertices
+    assert set(x._class_cache) == opened
+    assert set(y._class_cache) == {perm[a] for a in opened} == _open_sources(y)
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_a_check_on_a_hole_free_grid_builds_no_table(relabel):
+    x = build_grid_complex((4, 3))
+    if relabel:
+        perm = list(range(x.n_vertices))
+        random.Random(5).shuffle(perm)
+        y, f, g = relabel_complex(x, perm)
+    else:
+        y, f, g = x, identity_dmap(x), identity_dmap(x)
+    ok, cert = check_dihomotopy_equivalence(x, y, f, g)
+    assert ok
+    assert set(cert.F.values()) == set(cert.G.values()) == {(0,)}
+    assert x._class_cache == y._class_cache == {}
 
 
 def _induced_by_paths(own, other, m):
