@@ -39,6 +39,8 @@ class PrecubicalSet:
     Squares are stored as quadruples of edge indices
     ``(bottom, right, left, top)`` with ``bottom: v00->v10``,
     ``right: v10->v11``, ``left: v00->v01``, ``top: v01->v11``.
+    ``_ends`` indexes them by end vertex ``v11``: it maps each vertex
+    that ends a square to its squares in square order.
     """
 
     def __init__(self, n_vertices, edges, squares=(), labels=None, coords=None):
@@ -87,13 +89,13 @@ class PrecubicalSet:
         self._rank = sorted(range(n), key=order.__getitem__)
         self._class_cache = {}
         self._gamma = None
-        self._ends = None  # per vertex, the squares ending at it: see square_ends
         self._vertex_at = None  # lattice point -> vertex id: see grid_vertex
 
     # -- construction checks -------------------------------------------------
 
     def _validate(self, src, tgt):
-        """Check the endpoints, labels and squares, and tabulate the flips."""
+        """Check the endpoints, labels and squares, and index the squares
+        by end vertex."""
         n, m = self.n_vertices, len(self.edges)
         if m and not (0 <= min(src) and 0 <= min(tgt) and max(src) < n and max(tgt) < n):
             s, t = next(e for e in self.edges if not (0 <= e[0] < n and 0 <= e[1] < n))
@@ -101,9 +103,9 @@ class PrecubicalSet:
         for v in self.labels:
             if type(v) is not int or not 0 <= v < n:
                 raise ModelError(f"label for an unknown vertex {v}")
-        # elementary square flips: (e1,e2) -> every (e1',e2') across a
-        # square, in square order; an edge pair may bound several squares
-        flips = self._flips = {}
+        # a dict, not a list per vertex: a vertex that ends no square costs
+        # nothing
+        ends = self._ends = {}
         for sq in self.squares:
             if len(sq) != 4:
                 raise ModelError(f"square {sq} must list 4 boundary edges")
@@ -112,8 +114,7 @@ class PrecubicalSet:
                 raise ModelError(f"square {sq} references an unknown edge")
             if not (src[b] == src[l] and tgt[b] == src[r] and tgt[l] == src[t] and tgt[r] == tgt[t]):
                 raise ModelError(f"square {sq} does not commute")
-            flips.setdefault((b, r), []).append((l, t))
-            flips.setdefault((l, t), []).append((b, r))
+            ends.setdefault(tgt[r], []).append(sq)
 
     # -- queries -------------------------------------------------------------
 
@@ -122,12 +123,6 @@ class PrecubicalSet:
 
     def in_edges(self, v):
         return self._in[v]
-
-    def flip(self, e1, e2):
-        """The opposite edge pair across a square, or None; across the
-        last square listed when the pair bounds several."""
-        alts = self._flips.get((e1, e2))
-        return alts[-1] if alts else None
 
     def check_vertex(self, v):
         if not (0 <= v < self.n_vertices):
@@ -233,16 +228,6 @@ class GammaSet:
         """The vertices reachable from a, a included."""
         lo, hi = (bisect.bisect_left(self.pairs, (v,)) for v in (a, a + 1))
         return {b for _, b in self.pairs[lo:hi]}
-
-
-def square_ends(x: PrecubicalSet):
-    """Per vertex: the squares (b, r, l, t) that end at it, listed once
-    per complex when first asked for."""
-    if x._ends is None:
-        ends = x._ends = [[] for _ in range(x.n_vertices)]
-        for sq in x.squares:
-            ends[x.edges[sq[1]][1]].append(sq)
-    return x._ends
 
 
 def reachable(x: PrecubicalSet, a: int, b: int) -> bool:

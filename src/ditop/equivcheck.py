@@ -362,10 +362,17 @@ def _unlifted(own, other, mv):
     each along the in-edges of mv c, then the out-edges of mv d, skipping
     by lemma 3 the neighbours that an own edge at c or d reaches."""
     own_e, other_e, pairs = own.edges, other.edges, gamma(own)
-    ins = [[s for s in (other_e[e][0] for e in other.in_edges(mv[c]))
-            if s not in {mv[own_e[e][0]] for e in own.in_edges(c)}] for c in range(own.n_vertices)]
-    outs = [[t for t in (other_e[e][1] for e in other.out_edges(mv[d]))
-             if t not in {mv[own_e[e][1]] for e in own.out_edges(d)}] for d in range(own.n_vertices)]
+
+    def unlifted(own_adj, other_adj, end):
+        """Per vertex c of own: the ``end`` vertices of other's edges at
+        mv c that are not the image of the ``end`` of an own edge at c."""
+        rows = []
+        for c, adj in enumerate(own_adj):
+            lifted = {mv[own_e[e][end]] for e in adj}
+            rows.append([other_e[e][end] for e in other_adj[mv[c]] if other_e[e][end] not in lifted])
+        return rows
+
+    ins, outs = unlifted(own._in, other._in, 0), unlifted(own._out, other._out, 1)
     if not (any(ins) or any(outs)):
         return None
     # a target is (s, mv d) with s in some ins, or (mv c, t) with t in

@@ -7,10 +7,9 @@ byte-stable files for use from the command line.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 
-from .cubecore import PrecubicalSet, build_grid_complex
+from .cubecore import PrecubicalSet, build_grid_complex, grid_vertex
 from .equivcheck import dmap_from_vertex_map
 from .errors import ModelError
 from .pvlang import compile_pv, parse_pv
@@ -64,33 +63,9 @@ def matchbox() -> PrecubicalSet:
     All 8 vertices and 12 edges are present; vertex ids sort the
     coordinate triples lexicographically.
     """
-    points = sorted(itertools.product((0, 1), repeat=3))
-    vid = {p: i for i, p in enumerate(points)}
-    edges = []
-    eid = {}
-    for p in points:
-        for k in range(3):
-            if p[k] == 0:
-                q = list(p)
-                q[k] = 1
-                eid[(p, k)] = len(edges)
-                edges.append((vid[p], vid[tuple(q)]))
-    squares = []
-    for m in range(3):  # fixed axis of the face
-        k, l = [i for i in range(3) if i != m]
-        for b in (0, 1):
-            if m == 2 and b == 0:
-                continue  # the missing bottom face
-            p = [0, 0, 0]
-            p[m] = b
-            p = tuple(p)
-            pk = list(p)
-            pk[k] = 1
-            pl = list(p)
-            pl[l] = 1
-            squares.append(
-                (eid[(p, k)], eid[(tuple(pk), l)], eid[(p, l)], eid[(tuple(pl), k)]))
-    return PrecubicalSet(len(points), edges, squares, coords=points)
+    cube = build_grid_complex((1, 1, 1))
+    # the first square in grid order, at the origin across x and y, is z = 0
+    return PrecubicalSet(cube.n_vertices, cube.edges, cube.squares[1:], coords=cube.coords)
 
 
 @functools.cache
@@ -99,10 +74,8 @@ def matchbox_maps():
     embedding back."""
     m = matchbox()
     t = topface()
-    t_vid = {c: i for i, c in enumerate(t.coords)}
-    f = dmap_from_vertex_map(m, t, [t_vid[(x, y)] for x, y, _ in m.coords])
-    m_vid = {c: i for i, c in enumerate(m.coords)}
-    g = dmap_from_vertex_map(t, m, [m_vid[(x, y, 1)] for x, y in t.coords])
+    f = dmap_from_vertex_map(m, t, [grid_vertex(t, (x, y)) for x, y, _ in m.coords])
+    g = dmap_from_vertex_map(t, m, [grid_vertex(m, (x, y, 1)) for x, y in t.coords])
     return f, g
 
 
@@ -112,10 +85,8 @@ def sf_hs_maps():
     everything into the bottom two rows, g is the inclusion."""
     s = sf()
     h = hs()
-    h_vid = {c: i for i, c in enumerate(h.coords)}
-    f = dmap_from_vertex_map(s, h, [h_vid[(x, min(y, 1))] for x, y in s.coords])
-    s_vid = {c: i for i, c in enumerate(s.coords)}
-    g = dmap_from_vertex_map(h, s, [s_vid[c] for c in h.coords])
+    f = dmap_from_vertex_map(s, h, [grid_vertex(h, (x, min(y, 1))) for x, y in s.coords])
+    g = dmap_from_vertex_map(h, s, [grid_vertex(s, c) for c in h.coords])
     return f, g
 
 

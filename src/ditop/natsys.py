@@ -382,21 +382,16 @@ def _refine(queue, n_s, counts, arrows, preds, block, members, aut, phi):
         if mu[0] != mr[0]:
             return ()
         keep = cand
-        moves_u, moves_r = by_block(mu), by_block(mr)
-        for b, act in mu[1]:
-            good = set()
-            for act2 in moves_r.get(b, ()):
-                good |= transfers(aut[b], act, act2)
-            keep = keep & good
-            if not keep:
-                return keep
-        for b, act2 in mr[1]:
-            good = set()
-            for act in moves_u.get(b, ()):
-                good |= transfers(aut[b], act, act2)
-            keep = keep & good
-            if not keep:
-                return keep
+        # the arrows of u against the moves of r, then the other way round:
+        # ``transfers`` takes u's action first
+        for arrows, against, swap in ((mu[1], by_block(mr), False), (mr[1], by_block(mu), True)):
+            for b, act in arrows:
+                good = set()
+                for act2 in against.get(b, ()):
+                    good |= transfers(aut[b], act2, act) if swap else transfers(aut[b], act, act2)
+                keep = keep & good
+                if not keep:
+                    return keep
         return keep
 
     queued = set(queue)

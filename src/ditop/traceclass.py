@@ -12,7 +12,9 @@ pass stores the suffix action ``ext_f`` of every edge, so the class of
 a path is a fold of ``ext`` along its edges, and the action of a prefix
 alpha follows by naturality: ``[alpha.q.f] = ext_f([alpha.q])``.
 A vertex whose one or two in-edges all start at one-class vertices is
-glued directly, by one flip test at most, without the member graph.
+glued directly, without the member graph: two are joined when a square
+ending at the vertex has two different in-edges and its corner in the
+reach, one scan of the squares that ``PrecubicalSet._ends`` lists there.
 
 Class ids follow the lexicographically least member of each class.
 Least members are prefix-closed (flips keep the length), so each class
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from . import cubecore
-from .cubecore import DPath, PrecubicalSet, descendants, gamma, square_ends
+from .cubecore import DPath, PrecubicalSet, descendants, gamma
 from .errors import ModelError, PathCapExceeded
 
 
@@ -109,7 +111,7 @@ class _Table:
 
     def _glue(self, x, v):
         """Classes at v from those of its in-neighbours, glued by flips."""
-        reach, count, ext, flips, edges = self.reach, self.count, self.ext, x._flips, x.edges
+        reach, count, ext, edges = self.reach, self.count, self.ext, x.edges
         key, head, width = self.key, v * len(edges), self.width
         ins = [f for f in x.in_edges(v) if edges[f][0] in reach]
         f, u = ins[0], edges[ins[0]][0]
@@ -117,13 +119,14 @@ class _Table:
             count[v], key[v], ext[f] = 1, (key[u][0] + (head + f).to_bytes(width, "big"),), (0,)
             return
         if len(ins) == 2 and count[u] == 1 and count[edges[ins[1]][0]] == 1:
-            # two one-class members: one class when a flip with its corner
-            # in the reach joins them, else two ordered by key
+            # two one-class members: one class when a square (b, r, l, t)
+            # with r != t has its corner in the reach, else two ordered by
+            # key; such a corner makes r and t in-edges from the reach,
+            # which are f and g
             g = ins[1]
             kf = key[u][0] + (head + f).to_bytes(width, "big")
             kg = key[edges[g][0]][0] + (head + g).to_bytes(width, "big")
-            if any(alt[1] == g for e1 in x.in_edges(u) if edges[e1][0] in reach
-                   for alt in flips.get((e1, f), ())):
+            if any(r != t and edges[b][0] in reach for b, r, l, t in x._ends.get(v, ())):
                 count[v], key[v], ext[f], ext[g] = 1, (min(kf, kg),), (0,), (0,)
             elif kf < kg:
                 count[v], key[v], ext[f], ext[g] = 2, (kf, kg), (0,), (1,)
@@ -137,7 +140,7 @@ class _Table:
             tail = (head + f).to_bytes(width, "big")
             cand.extend([k + tail for k in key[edges[f][0]]])
         label = list(range(len(cand)))  # member -> a member of its class
-        for b, r, l, t in square_ends(x)[v]:
+        for b, r, l, t in x._ends.get(v, ()):
             if edges[b][0] in reach:  # the corner: then r and t are in ins
                 i0, j0 = base[r], base[t]
                 for i, j in zip(ext[b], ext[l]):
@@ -313,7 +316,7 @@ def one_class_sources(x: PrecubicalSet):
     edges, ins_of = x.edges, x._in
     anc = [0] * x.n_vertices
     one = [0] * x.n_vertices
-    ends = square_ends(x)
+    ends = x._ends
     for v in x._order:
         ins = ins_of[v]
         if len(ins) < 2:
@@ -328,7 +331,7 @@ def one_class_sources(x: PrecubicalSet):
             u = edges[f][0]
             seen |= anc[u]
             bad |= anc[u] & ~one[u]
-        links = [(r, t, anc[edges[b][0]]) for b, r, l, t in ends[v] if r != t]
+        links = [(r, t, anc[edges[b][0]]) for b, r, l, t in ends.get(v, ()) if r != t]
         if len(ins) == 2:
             f, g = ins
             joined = 0

@@ -219,11 +219,28 @@ def test_grid_vertex_of_every_point(pv1):
         grid_vertex(PrecubicalSet(1, []), (0,))
 
 
-def test_flip_table_symmetric(any_fixture):
-    _, x = any_fixture
-    for b, r, l, t in x.squares:
-        assert x.flip(b, r) == (l, t)
-        assert x.flip(l, t) == (b, r)
+def _check_square_index(x):
+    """``_ends`` maps each vertex that ends a square, and no other, to the
+    squares whose right edge ends there, in square order."""
+    for v in range(x.n_vertices):
+        assert list(x._ends.get(v, ())) == [sq for sq in x.squares if x.edges[sq[1]][1] == v]
+    assert set(x._ends) == {x.edges[sq[1]][1] for sq in x.squares}
+
+
+def test_square_index_by_end_vertex(any_fixture):
+    _check_square_index(any_fixture[1])
+
+
+def test_matchbox_is_the_cube_without_its_bottom_face(matchbox):
+    assert (matchbox.n_vertices, len(matchbox.edges)) == (8, 12)
+    corners = {(matchbox.coords[matchbox.edges[b][0]], matchbox.coords[matchbox.edges[r][1]])
+               for b, r, _, _ in matchbox.squares}
+    assert len(matchbox.squares) == 5
+    assert corners == {
+        ((0, 0, 0), (0, 1, 1)), ((1, 0, 0), (1, 1, 1)),  # x = 0, x = 1
+        ((0, 0, 0), (1, 0, 1)), ((0, 1, 0), (1, 1, 1)),  # y = 0, y = 1
+        ((0, 0, 1), (1, 1, 1)),  # z = 1
+    }
 
 
 def test_grid_dims_validation():
@@ -250,8 +267,9 @@ PV_GRIDS = [compile_pv(parse_pv(src)) for _, src in sorted(_workload_programs().
 
 
 def _check_construction(x):
-    """Adjacency sorted as documented, a topological ``_rank``, and the
-    same adjacency and flips after a JSON round trip."""
+    """Adjacency sorted as documented, a topological ``_rank``, the
+    square index, and the same adjacency and index after a JSON round
+    trip."""
     for v in range(x.n_vertices):
         assert x.out_edges(v) == sorted(
             (e for e, (s, _) in enumerate(x.edges) if s == v), key=lambda e: (x.edges[e][1], e))
@@ -259,8 +277,9 @@ def _check_construction(x):
             (e for e, (_, t) in enumerate(x.edges) if t == v), key=lambda e: (x.edges[e][0], e))
     assert sorted(x._rank) == list(range(x.n_vertices))
     assert all(x._rank[s] < x._rank[t] for s, t in x.edges)
+    _check_square_index(x)
     y = PrecubicalSet.from_json(x.to_json())
-    assert (y._in, y._out, y._flips) == (x._in, x._out, x._flips)
+    assert (y._in, y._out, y._ends) == (x._in, x._out, x._ends)
     assert all(y._rank[s] < y._rank[t] for s, t in y.edges)
 
 

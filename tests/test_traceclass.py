@@ -59,6 +59,23 @@ def test_squares_sharing_edge_pairs_all_glue():
     assert flip_class_count(x, 0, 3) == 1
 
 
+def test_two_in_edges_join_only_by_a_corner_in_the_reach():
+    # v = 5 has in-edges from p = 2 and q = 3, and one from w = 7; two
+    # squares on p -> v, q -> v, with corners c2 = 6 (listed first) and
+    # c1 = 1.  From a = 0 only c1 is in the reach, from c2 only c2, and
+    # from s = 4, which reaches p and q, neither: two classes there
+    x = PrecubicalSet(8, [(0, 1), (1, 2), (1, 3), (6, 2), (6, 3), (2, 5), (3, 5), (7, 5),
+                          (4, 2), (4, 3)],
+                      [(3, 5, 4, 6), (1, 5, 2, 6)])
+    assert [trace_classes(x, a, 5).count for a in (0, 1, 6, 4)] == [1, 1, 1, 2]
+    for a, b in gamma(x):
+        want = flip_classes(x, a, b)
+        assert trace_classes(x, a, b).count == len(want)
+        for cid, component in enumerate(want):
+            for edges in component:
+                assert class_of(x, DPath(a, edges)) == cid
+
+
 def test_representatives_are_lex_least(pv1):
     # least in the enumeration order: lexicographic on vertex sequences
     def vkey(edges):
