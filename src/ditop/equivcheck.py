@@ -36,7 +36,7 @@ topological order over its reach, as far as the pairs read need: the
 row of w, C(a, w) -> C(m a, m w), follows from the row of u through
 each in-edge u -> w, whose image acts by its ``ext`` (or not at all
 where m collapses it), and by lemma 1 all in-edges give the same row.
-A pair that ``traceclass.certified_sources`` certifies, with its image
+A pair that ``traceclass.one_class_sources`` certifies, with its image
 certified in the other model, maps bijectively with the row (0,) and
 reads no table; a source gets its two tables at its first other pair.
 """
@@ -49,7 +49,7 @@ from operator import itemgetter
 
 from .cubecore import DPath, PrecubicalSet, gamma
 from .errors import ModelError
-from .traceclass import _ONE, _table, certified_sources, trace_classes
+from .traceclass import _ONE, _table, one_class_sources, trace_classes
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,10 @@ def _connection_commutes(w, h, forward):
     h(p) * w_b against w_a * p, both h(a) -> b.  Both sides are folds
     over the class table of their start, and a pair whose folds land in
     a one-class pair is skipped.  Every table is glued, through
-    ``classes``, up to the pair it is read at, so w's pairs must be
-    within the path cap.  Only the first connecting dipaths are tried,
-    so a refusal is conservative on models where some class set has
-    more than one class."""
+    ``classes``, up to a pair of w that stage 1 passed, so none is
+    refused.  Only the first connecting dipaths are tried, so a refusal
+    is conservative on models where some class set has more than one
+    class."""
     vm, pairs = h.vertex_map, gamma(w)
     ends = [(v, vm[v]) if forward else (vm[v], v) for v in range(w.n_vertices)]
     if not all(end in pairs for end in ends):
@@ -308,15 +308,16 @@ def _stages_1_to_3(x, y, f, g):
     (None, (F, G)), the inverse class maps per own pair, or
     (EquivFailure, None).  Stage 1 reads the pairs of each side in
     ``gamma`` order, the own pair then its image, and skips those that
-    are certified on both sides.  It skips none unless both models are
-    within the path cap, so it refuses at the first pair over the cap of
-    that order, and once it has passed stage 3 reads no pair over it."""
+    are certified on both sides, which have one class at every vertex
+    on their dipaths and so are never refused.  It refuses where a scan
+    of that order through ``trace_classes`` does, and stage 3 reads only
+    pairs that it has passed."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
             raise ModelError(f"invalid dmap {name}: {bad[0]}")
     gamma(x), gamma(y)  # first, so that every table reads its reach from gamma
-    ones = certified_sources(x)[1], certified_sources(y)[1]
+    ones = one_class_sources(x)[1], one_class_sources(y)[1]
     inverses = []
     for name, own, other, m, one, theirs in (("f", x, y, f, *ones), ("g", y, x, g, *ones[::-1])):
         vm, inv = m.vertex_map, {}
@@ -329,8 +330,8 @@ def _stages_1_to_3(x, y, f, g):
                     continue
                 if t is None:
                     t, u = _table(own, a), _table(other, ma)
-                # own pair, then image, each glued after its cap check; a
-                # one-class pair maps bijectively exactly when its image has one class
+                # own pair, then image; a one-class pair maps bijectively
+                # exactly when its image has one class
                 n, n_target = t.classes(own, b), u.classes(other, vm[b])
                 img = t.rows(own, u, rows, b, through)[b] if n > 1 else (0,)
                 if len(set(img)) != n or n != n_target:

@@ -6,9 +6,9 @@ class ModelError(ValueError):
 
 
 class PathCapExceeded(RuntimeError):
-    """A pair has more dipaths than the path cap allows: the class
-    tables' ``cubecore.DEFAULT_PATH_CAP``, or the ``cap`` of
-    ``enumerate_dpaths``.
+    """A pair has more classes than the class tables' path cap
+    ``cubecore.DEFAULT_PATH_CAP``, or more dipaths than the ``cap`` of
+    ``enumerate_dpaths``: more dipaths than the cap in both cases.
 
     Carries the offending endpoint pair so callers can report it.
     """

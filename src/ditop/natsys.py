@@ -119,8 +119,8 @@ def build_natural_system(x: PrecubicalSet) -> NaturalClassSystem:
     """The natural class system of x.  Objects are the reachable pairs in
     ``gamma`` order; the arrows of (a, b) follow ``elementary_arrows``:
     to (s, b) per in-edge s -> a, then to (a, t) per out-edge b -> t.
-    Every pair's dipaths are counted and checked against the path cap
-    ``cubecore.DEFAULT_PATH_CAP`` before any class work."""
+    A refusal names (a, w) for the least source a with a vertex over the
+    path cap, and the first such vertex w in ``x._order``."""
     objects = tuple(gamma(x))
     tables = whole_tables(x)
     index = [{} for _ in tables]  # a -> b -> the index of object (a, b)

@@ -28,19 +28,18 @@ the action (0,) on its in-edges, and its least key is made only when a
 glue or a representative reads it.  A source with no open pair gets a
 table only if a prefix row needs one.
 
-A table counts the dipaths to every vertex of its reach by dynamic
-programming at its first cap check, and a pair with more than
-``cubecore.DEFAULT_PATH_CAP`` dipaths is refused before any class work:
-a one-pair query checks its own pair.  ``whole_tables`` counts the
-dipaths from each minimal vertex once, which bounds every pair, and
-reads the per-source counts only when that bound is over the cap, to
-name the first pair over it in ``gamma`` order.  The cap is that one
-constant, read at each check, with no per-call override.
+The path cap ``cubecore.DEFAULT_PATH_CAP``, read at each check, bounds
+class counts: a glue that would store more than one class at a vertex w,
+and more than the cap, refuses (a, w) before it stores anything at w.
+Vertices are glued in topological order, so (a, b) is refused exactly
+when a vertex on a dipath a -> b, b included, has more than the cap of
+classes from a, and the refusal names the first such vertex in
+``x._order``, whatever queries ran before.  The glue at a vertex reads
+at most its in-degree times the cap members.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from . import cubecore
 from .cubecore import DPath, PrecubicalSet, descendants, gamma
@@ -61,7 +60,6 @@ class _Table:
         # once gamma is known, each source's reach is read from it
         self.reach = descendants(x, a) if x._gamma is None else x._gamma.reach(a)
         self.order = sorted(self.reach, key=x._rank.__getitem__)  # a first
-        self.paths = None  # v -> dipaths a -> v, counted at the first cap check
         self.count = {a: 1}  # v -> number of classes
         self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
         # v -> per class: its least member as bytes, each edge f written
@@ -88,23 +86,8 @@ class _Table:
                     stack.append(u)
         return sorted(seen, key=x._rank.__getitem__)
 
-    def dipaths(self, x):
-        """v -> the number of dipaths a -> v over the whole reach, counted
-        once by dynamic programming."""
-        paths = self.paths
-        if paths is None:
-            paths = self.paths = dict.fromkeys(self.order, 0)
-            paths[self.a] = 1
-            for v in self.order:  # pushed on: every out-neighbour is in the reach
-                for e in x.out_edges(v):
-                    paths[x.edges[e][1]] += paths[v]
-        return paths
-
     def classes(self, x, v):
-        """The number of classes at v, refused when more than the path
-        cap of dipaths reach v."""
-        if (self.paths or self.dipaths(x))[v] > cubecore.DEFAULT_PATH_CAP:
-            raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
+        """The number of classes at v, glued as far as v needs."""
         for w in self._todo(x, v, self.count):
             self._glue(x, w)
         return self.count[v]
@@ -128,7 +111,10 @@ class _Table:
             kg = key[edges[g][0]][0] + (head + g).to_bytes(width, "big")
             if any(r != t and edges[b][0] in reach for b, r, l, t in x._ends.get(v, ())):
                 count[v], key[v], ext[f], ext[g] = 1, (min(kf, kg),), (0,), (0,)
-            elif kf < kg:
+                return
+            if cubecore.DEFAULT_PATH_CAP < 2:  # two classes
+                raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
+            if kf < kg:
                 count[v], key[v], ext[f], ext[g] = 2, (kf, kg), (0,), (1,)
             else:
                 count[v], key[v], ext[f], ext[g] = 2, (kg, kf), (1,), (0,)
@@ -153,6 +139,8 @@ class _Table:
             if j is None or cand[i] < cand[j]:
                 least[k] = i
         ranked = sorted(least.values(), key=cand.__getitem__)
+        if len(ranked) > max(cubecore.DEFAULT_PATH_CAP, 1):
+            raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
         cid = {label[i]: c for c, i in enumerate(ranked)}
         count[v] = len(ranked)
         key[v] = tuple([cand[i] for i in ranked])
@@ -162,19 +150,24 @@ class _Table:
     def fill(self, x, opened):
         """Classes over the whole reach, given the vertices whose pairs
         ``one_class_sources`` leaves open, in topological order.  Every
-        other vertex gets one class and the action (0,) on its in-edges,
-        its least key left to ``least``; the open ones are glued.  What
-        earlier queries glued is kept."""
+        other vertex gets one class and the action (0,) on its in-edges
+        from the reach, its least key left to ``least``.  The open ones
+        are glued once every key they read is made, so a refusal leaves
+        those not yet glued to later queries.  What earlier queries
+        glued is kept."""
         reach, edges, key = self.reach, x.edges, self.key
-        self.count = {**dict.fromkeys(self.order, 1), **self.count}
-        inside = chain.from_iterable(map(x._out.__getitem__, self.order))
+        pending = set(opened)
+        shut = [v for v in self.order if v not in pending]
+        self.count = {**dict.fromkeys(shut, 1), **self.count}
+        inside = [f for v in shut for f in x._in[v] if edges[f][0] in reach]
         self.ext = {**dict.fromkeys(inside, _ONE), **self.ext}
         for w in opened:
+            for f in x.in_edges(w):
+                u = edges[f][0]
+                if u not in key and u in reach and u not in pending:
+                    self.least(x, u)
+        for w in opened:
             if w not in key:
-                for f in x.in_edges(w):
-                    u = edges[f][0]
-                    if u not in key and u in reach:
-                        self.least(x, u)
                 self._glue(x, w)
 
     def least(self, x, v):
@@ -361,52 +354,15 @@ def one_class_sources(x: PrecubicalSet):
     return anc, one
 
 
-def within_path_cap(x: PrecubicalSet) -> bool:
-    """True when no pair has more dipaths than the path cap.  Prefixing a
-    fixed dipath m -> a is injective on the dipaths a -> b, so the
-    largest dipath count of any pair is that of a pair from a minimal
-    vertex: one count per minimal vertex bounds every pair."""
-    cap, edges, out, order = cubecore.DEFAULT_PATH_CAP, x.edges, x._out, x._order
-    for i, m in enumerate(order):
-        if x._in[m]:
-            break  # the minimal vertices come first in order
-        paths = [0] * x.n_vertices  # v -> dipaths m -> v
-        paths[m] = 1
-        for v in order[i:]:
-            count = paths[v]
-            if count > cap:
-                return False
-            for e in out[v]:
-                paths[edges[e][1]] += count
-    return True
-
-
-def certified_sources(x: PrecubicalSet):
-    """(ANC, ONE) of ``one_class_sources``, with ONE certifying nothing
-    when ``within_path_cap`` fails.  A per-pair reader skips the pairs
-    that ONE certifies, which have one class and are within the cap, and
-    reads every other pair from the class tables: on a model that may
-    have a pair over the cap it reads all of them, so it refuses at the
-    same pair as a scan of every pair."""
-    anc, one = one_class_sources(x)
-    return anc, one if within_path_cap(x) else [0] * len(one)
-
-
 def whole_tables(x: PrecubicalSet):
     """Per vertex a: its class table filled over its whole reach, or None
     when every pair from a is certified by ``one_class_sources`` and no
     prefix row needs it; and (s, prefix rows) of each in-edge s -> a,
     where a vertex without a row maps into a certified pair (s, w), so
-    its row is constant 0.  Only the open pairs are glued.  A refusal
-    names the first pair of ``gamma`` over the path cap, before any class
-    is glued: the per-source dipath counts are read only when the bound
-    of ``within_path_cap`` exceeds the cap."""
-    cap = cubecore.DEFAULT_PATH_CAP
-    pairs = gamma(x)  # first, so that new tables read their reach from it
-    if not within_path_cap(x):
-        for a, b in pairs:
-            if _table(x, a).dipaths(x)[b] > cap:
-                raise PathCapExceeded((a, b), cap)
+    its row is constant 0.  Only the open pairs are glued, source by
+    source in order, so a refusal names the least source with a vertex
+    over the path cap and the first such vertex in ``x._order``."""
+    gamma(x)  # first, so that new tables read their reach from it
     anc, one = one_class_sources(x)
     opened = [[] for _ in anc]  # a -> the vertices v with (a, v) open
     for v in x._order:

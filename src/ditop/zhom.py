@@ -14,12 +14,11 @@ carries exactly one dihomotopy class.
 The section criterion is first decided for all sources at once, with
 no class table: every pair has one class exactly when the one-class
 bitsets of ``traceclass.one_class_sources`` certify every pair (the
-lemma is stated there), and they count as certified only when one
-dipath count per minimal vertex (``traceclass.within_path_cap``) bounds
-every pair by the path cap, ``cubecore.DEFAULT_PATH_CAP`` as read at the
-call; both are read through ``traceclass.certified_sources``.  Any other
+lemma is stated there).  A one-class pair is never over the path cap,
+which bounds class counts, so such a model is never refused.  Any other
 model falls back to the scan over the class tables in ``gamma`` order,
-which names the first obstruction pair or the first pair over the cap.
+which names the first obstruction pair, or the refusal of the first
+pair read that has a vertex over the cap.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .cubecore import PrecubicalSet, gamma
-from .traceclass import _table, certified_sources
+from .traceclass import _table, one_class_sources
 
 
 @dataclass
@@ -251,13 +250,6 @@ class SectionWitness:
     choices: dict
 
 
-def _one_class_within_cap(x: PrecubicalSet) -> bool:
-    """True when every pair of gamma has one class and at most the path
-    cap of dipaths: ``traceclass.certified_sources`` certifies them all."""
-    anc, one = certified_sources(x)
-    return anc == one
-
-
 def section_exists(x: PrecubicalSet):
     """Discrete section criterion: every pair in Gamma has exactly one
     class.  Returns (True, SectionWitness) or (False, obstruction pair).
@@ -266,9 +258,10 @@ def section_exists(x: PrecubicalSet):
     answered from gamma alone, with no class table.  Any other model is
     scanned: pairs are read from the class tables in ``gamma`` order, so
     the obstruction is the first pair with two classes or more, and no
-    pair after it is checked against the path cap."""
+    pair after it is glued or refused."""
     pairs = gamma(x)
-    if not _one_class_within_cap(x):
+    anc, one = one_class_sources(x)
+    if anc != one:
         for a, b in pairs:
             if _table(x, a).classes(x, b) != 1:
                 return False, (a, b)

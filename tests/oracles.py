@@ -229,6 +229,19 @@ def path_count_dp(x, a, b):
     return count[b]
 
 
+def cap_refusals(x, cap):
+    """Per reachable pair (a, b): the pair (a, w) that the class tables
+    name when they refuse it at the path cap ``cap``, where w is the
+    first vertex in ``x._order`` on a dipath a -> b, b included, with
+    more than max(cap, 1) flip classes from a; or None."""
+    pairs = closure_pairs(x)
+    rank = {v: i for i, v in enumerate(x._order)}
+    over = sorted(((a, w) for a, w in pairs if flip_class_count(x, a, w) > max(cap, 1)),
+                  key=lambda p: rank[p[1]])
+    return {(a, b): next(((a, w) for s, w in over if s == a and (w, b) in pairs), None)
+            for a, b in pairs}
+
+
 def elementary_actions(x, pair):
     """(target, action) of each elementary arrow out of a pair, in
     ``elementary_arrows`` order, each by ``arrow_action``: a fold of

@@ -10,6 +10,7 @@ from ditop.natsys import (
     BIJECTION_CAP,
     BisimCounterexample,
     BisimRelation,
+    NaturalClassSystem,
     _refinement_colors,
     bisimilar,
     build_natural_system,
@@ -22,8 +23,8 @@ from ditop.zhom import is_dicontractible
 from conftest import ALL_FIXTURES, collapse_pairs, dag_models, grid_models, larger_grid_models
 from oracles import _refinement_colors as jacobi_colors
 from oracles import (
-    bisim_gfp, bisim_pairs_reference, closure_pairs, flip_class_count, flip_classes,
-    natural_system_reference, path_count_dp, relabel_complex)
+    bisim_gfp, bisim_pairs_reference, cap_refusals, closure_pairs, flip_class_count,
+    flip_classes, natural_system_reference, relabel_complex)
 
 
 def test_seg_system_shape(seg):
@@ -260,6 +261,32 @@ def test_block_checked_again_after_a_group_it_reaches_shrank():
     assert (True, rel.triples) == bisim_gfp(s, s)
 
 
+def _cycled(act):
+    """Objects u, u', p, q, z with 3, 3, 2, 2 and 1 classes: u -> u' acts
+    by ``act``, and the arrows of u' into p and q, by (0, 0, 1) and
+    (0, 1, 1), leave the block of u' the identity group."""
+    return NaturalClassSystem(("u", "u'", "p", "q", "z"), (3, 3, 2, 2, 1),
+                              (((1, act),), ((2, (0, 0, 1)), (3, (0, 1, 1))), ((4, (0, 0)),),
+                               (), ()))
+
+
+# u on the left is related to u on the right by one bijection b, with
+# right . b == left: the second direction of ``kept`` matches an arrow of
+# the representative by a move of the member, and ``transfers`` there
+# takes the member's action first.  The other order keeps the inverse of
+# b, which is another bijection for a 3-cycle, so u would keep nothing.
+@pytest.mark.parametrize("left, right, b", [
+    ((1, 2, 0), (0, 1, 2), (1, 2, 0)),
+    ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+    ((1, 2, 0), (2, 0, 1), (2, 0, 1)),
+])
+def test_a_member_is_related_by_the_bijection_not_its_inverse(left, right, b):
+    s, t = _cycled(left), _cycled(right)
+    got = bisimilar(s, t)
+    assert got[0] and got[1].triples[0] == ("u", b, "u")
+    assert _as_oracle(got) == bisim_gfp(s, t)
+
+
 REFERENCE_PAIRS = 40_000  # object pairs per example for the pair worklist
 
 
@@ -350,12 +377,14 @@ def _system_or_refusal(build, x, cap):
 
 
 def _expected_system(x, cap):
-    """The first pair in gamma order with more dipaths than the cap, and
-    the cap; else the pair-by-pair reference system on a cold copy."""
+    """The refusal of the least source with a vertex over the cap, at
+    its first such vertex in ``x._order``, and the cap; else the
+    pair-by-pair reference system on a cold copy."""
     limit = cubecore.DEFAULT_PATH_CAP if cap is None else cap
-    for a, b in sorted(closure_pairs(x)):
-        if path_count_dp(x, a, b) > limit:
-            return (a, b), limit
+    refused = [pair for pair in cap_refusals(x, limit).values() if pair]
+    if refused:
+        rank = {v: i for i, v in enumerate(x._order)}
+        return min(refused, key=lambda p: (p[0], rank[p[1]])), limit
     return _system_or_refusal(natural_system_reference, PrecubicalSet.from_json(x.to_json()), cap)
 
 
@@ -363,24 +392,33 @@ def _expected_system(x, cap):
 @given(st.one_of(grid_models(), dag_models()), st.data())
 def test_natural_system_matches_the_pair_reference(x, data):
     # whole tables against one trace_classes per object and arrow target:
-    # the same system, or a refusal at the first pair over the cap, on a
-    # cold copy and on one whose tables some one-pair queries already started
+    # the same system, or the same refusal, on a cold copy and on one
+    # whose tables some one-pair queries at the same cap already started
     if data.draw(st.booleans()):
         x, _, _ = relabel_complex(x, data.draw(st.permutations(range(x.n_vertices))))
-    cap = data.draw(st.one_of(st.none(), st.integers(0, 30)))
+    cap = data.draw(st.one_of(st.none(), st.integers(1, 6)))
     want = _expected_system(x, cap)
     # drawn without gamma, so these tables find their reach by search
     for a, b in data.draw(st.lists(st.sampled_from(sorted(closure_pairs(x))), max_size=3)
                           if x.n_vertices else st.just([])):
-        _under_cap(data.draw(st.one_of(st.none(), st.integers(0, 30))), trace_classes, x, a, b)
+        _under_cap(cap, trace_classes, x, a, b)
     assert _system_or_refusal(build_natural_system, x, cap) == want
 
 
 def test_refusal_names_the_first_pair_over_the_cap_in_gamma_order():
-    # (1, 2) and (0, 3) both have two dipaths; (0, 3) comes first in
-    # gamma order, though the in-edge arrow of object (0, 2) reaches (1, 2)
+    # (1, 2) and (0, 3) both have two classes; the least source 0 is
+    # refused first, though the in-edge arrow of object (0, 2) reaches (1, 2)
     x = PrecubicalSet(4, [(1, 0), (0, 2), (1, 2), (2, 3), (2, 3)])
     assert _system_or_refusal(build_natural_system, x, 1) == _expected_system(x, 1) == ((0, 3), 1)
+
+
+def test_refusal_names_the_first_vertex_in_topological_order():
+    # from 0, vertex 2 has two classes and vertex 1, after it, four: the
+    # refusal names (0, 2), though (0, 1) comes first in gamma order
+    x = PrecubicalSet(3, [(0, 2), (0, 2), (2, 1), (2, 1)])
+    assert x._order == [0, 2, 1]
+    for call in (build_natural_system, lambda w: trace_classes(w, 0, 1)):
+        assert _system_or_refusal(call, x, 1) == _expected_system(x, 1) == ((0, 2), 1)
 
 
 def _reversed(x):
@@ -438,3 +476,28 @@ def test_tables_left_by_a_natural_system_answer_later_queries(x):
     build_natural_system(x)
     for a, b in gamma(x):
         assert _pair_queries(x, a, b) == _pair_queries(fresh, a, b)
+
+
+# Refused at cap 2 at (0, 38), the first vertex with three classes; tables
+# preset to one class over the whole reach before the glue would answer 1
+# from 0 to top, where a fresh copy has three classes.
+TWO_HOLES = build_grid_complex((6, 6), [((1, 3), (3, 5)), ((3, 5), (1, 3))])
+# Refused at cap 1 at (0, 1); the later glue of (0, 3) reads the least key
+# of the certified in-neighbour 2, which the refused fill must have made.
+KEY_BEFORE_GLUE = PrecubicalSet(4, [(0, 1), (0, 1), (0, 2), (0, 3), (2, 3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(grid_models(), dag_models()), st.integers(1, 4))
+@example(TWO_HOLES, 2)
+@example(KEY_BEFORE_GLUE, 1)
+def test_a_refused_natural_system_leaves_the_answers_of_a_fresh_copy(x, cap):
+    # at a fixed cap, every answer and refusal is the same whatever
+    # queries ran before, a refused natural system included; pairs go
+    # last first, so that no representative of an earlier pair has made
+    # the keys that a glue reads
+    fresh = PrecubicalSet.from_json(x.to_json())
+    _under_cap(cap, build_natural_system, x)
+    for a, b in reversed(gamma(x).pairs):
+        assert (_under_cap(cap, _pair_queries, x, a, b)
+                == _under_cap(cap, _pair_queries, fresh, a, b))

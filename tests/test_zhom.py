@@ -7,7 +7,7 @@ from ditop import cubecore, zhom
 from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma, grid_vertex
 from ditop.errors import PathCapExceeded
 from ditop.fixtures import get_fixture
-from ditop.traceclass import trace_classes
+from ditop.traceclass import one_class_sources, trace_classes
 from ditop.zhom import (
     homology_ranks,
     is_contractible_surrogate,
@@ -195,7 +195,7 @@ def test_pv1_obstruction_pair(pv1):
 
 
 def test_section_stops_at_the_first_two_class_pair_before_the_cap():
-    # (0, top) has 2,695,444 dipaths, over the path cap, but the section
+    # (0, top) has 2,695,444 dipaths and three classes, but the section
     # criterion stops at (0, 49), the first pair with two classes
     x = build_grid_complex((12, 12), [((1, 3), (9, 11)), ((9, 11), (1, 3))])
     assert path_count_dp(x, 0, x.n_vertices - 1) == 2_695_444
@@ -216,7 +216,8 @@ def test_section_witness_covers_gamma(seg, wedge):
 def test_section_check_agrees_with_the_table_scan(name):
     x = get_fixture(name)
     first = next((p for p in gamma(x) if trace_classes(x, *p).count > 1), None)
-    assert zhom._one_class_within_cap(x) == (first is None)
+    anc, one = one_class_sources(x)
+    assert (anc == one) == (first is None)
     ok, found = section_exists(x)
     assert (ok, None if ok else found) == (first is None, first)
 
@@ -224,15 +225,13 @@ def test_section_check_agrees_with_the_table_scan(name):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(grid_models(), larger_grid_models(), dag_models()), st.data())
 def test_section_criterion_matches_the_flip_oracle(x, data):
-    # with the path cap lifted the bitset check decides every model, so a
-    # True answer glues no class table
+    # the bitset check decides every model, so a True answer glues no
+    # class table
     y, _, _ = relabel_complex(x, data.draw(st.permutations(range(x.n_vertices))))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cubecore, "DEFAULT_PATH_CAP", 10**30)
-        for z in (x, y):
-            ok, _ = section_exists(z)
-            assert ok == all(flip_class_count(z, a, b) == 1 for a, b in gamma(z))
-            assert (z._class_cache == {}) == ok
+    for z in (x, y):
+        ok, _ = section_exists(z)
+        assert ok == all(flip_class_count(z, a, b) == 1 for a, b in gamma(z))
+        assert (z._class_cache == {}) == ok
 
 
 def test_three_in_edges_joined_through_the_third():
@@ -265,25 +264,39 @@ def test_a_one_class_model_is_decided_without_a_class_table():
     assert x._class_cache == {}
 
 
+@pytest.mark.parametrize("n", [10, 30])
+def test_large_hole_free_grids_are_decided_without_a_class_table(n):
+    # C(2n, n) dipaths from corner to corner, far more than the path cap,
+    # and one class for every pair
+    x = build_grid_complex((n, n))
+    assert section_exists(x)[0]
+    assert x._class_cache == {}
+
+
 def test_the_path_cap_is_read_at_each_call(monkeypatch):
-    # the largest dipath count, 20 from corner to corner, is bounded by
-    # the cap as it stands at the call, and refused at the first pair of
-    # gamma over it
-    x = build_grid_complex((3, 3))
-    assert section_exists(x)[0]
-    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 19)
+    # two holes off the diagonal leave three classes from corner to
+    # corner; each call reads the cap as it stands, and a refusal stores
+    # nothing, so a retry under a larger cap decides
+    x = build_grid_complex((6, 6), [((1, 3), (3, 5)), ((3, 5), (1, 3))])
+    top = x.n_vertices - 1
+    first = next(w for w in x._order if flip_class_count(x, 0, w) == 3)
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 2)
     with pytest.raises(PathCapExceeded) as exc:
-        section_exists(x)
-    assert exc.value.pair == (0, x.n_vertices - 1)
-    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 20)
-    assert section_exists(x)[0]
-    # every minimal vertex is counted from, not only the first
-    y = PrecubicalSet(x.n_vertices + 1, [(s + 1, t + 1) for s, t in x.edges], x.squares)
-    assert section_exists(y)[0]
-    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 19)
+        trace_classes(x, 0, top)
+    assert (exc.value.pair, exc.value.cap) == ((0, first), 2)
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 3)
+    assert trace_classes(x, 0, top).count == 3
+    # the section scan is refused at its first two-class pair under a cap
+    # of 1, and finds it as the obstruction under a cap of 2
+    y = PrecubicalSet.from_json(x.to_json())
+    ok, obstruction = section_exists(x)
+    assert not ok
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 1)
     with pytest.raises(PathCapExceeded) as exc:
         section_exists(y)
-    assert exc.value.pair == (1, y.n_vertices - 1)
+    assert exc.value.pair == obstruction
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 2)
+    assert section_exists(y) == (False, obstruction)
 
 
 def test_a_source_spreads_over_more_than_one_round():

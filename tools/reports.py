@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Dump the CLI reports of the benchmark workloads and the seven fixtures.
+"""Dump the CLI reports of the benchmark workloads, the seven fixtures
+and the large grids.
 
 Usage, from the repository root: ``python3 tools/reports.py --seeds 1-3 OUT``.
 Inputs come from ``perfbench/workloads.py``; each query runs once and
 writes one JSON line (argv, exit, stdout without its ``done in`` line,
 stderr, input paths as ``IN``), so ``diff -r`` of two dumps compares two
-checkouts report by report.
+checkouts report by report.  ``grids.jsonl`` holds ``classes`` from 0
+to top and ``dicontractible`` on the one-hole 12x12 and 20x20 grids and
+the hole-free 10x10 and 30x30 grids, which shows how far the class
+tables reach.
 """
 import argparse, contextlib, io, json, os, sys, tempfile  # noqa: E401
 
@@ -33,6 +37,15 @@ def fixture_queries(d):
     yield from equiv("sf", "hs", "sf_hs_f", "sf_hs_g")
 
 
+def grid_queries(d):
+    inp = workloads.Inputs(d, ditop, oracles, 0)
+    for name, n, boxes in (("H12", 12, [workloads.hole_box(12)]),
+                           ("H20", 20, [workloads.hole_box(20)]), ("F10", 10, []), ("F30", 30, [])):
+        m, x = inp.grid(name, (n, n), boxes)
+        yield from (["classes", *m, "--from", "0", "--to", str(x.n_vertices - 1)],
+                    ["dicontractible", *m])
+
+
 def dump(path, queries, d):
     with open(path, "w") as fh:
         for argv in queries:
@@ -58,6 +71,7 @@ def main():
                 queries = workloads.build(workload, w, ditop, oracles, seed)
                 dump(f"{args.out}/{workload}-s{seed}.jsonl", [q.argv for q in queries], w)
         dump(f"{args.out}/fixtures.jsonl", list(fixture_queries(d)), d)
+        dump(f"{args.out}/grids.jsonl", list(grid_queries(f"{d}/grids")), f"{d}/grids")
 
 
 if __name__ == "__main__":
