@@ -7,7 +7,6 @@ by :func:`build_grid_complex`.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -205,74 +204,73 @@ def json_int_rows(v, width=None) -> bool:
     return isinstance(v, list) and set(map(type, v)) <= {list} and _int_rows(v, width)
 
 
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_indices(r: int):
+    """The positions of the set bits of r >= 0, ascending: one pass over
+    its binary digits, none of it a Python-level step per bit."""
+    return itertools.compress(itertools.count(), bin(r)[:1:-1].encode().translate(_BIT))
+
+
 @dataclass(frozen=True)
 class GammaSet:
-    """All reachable ordered vertex pairs of a complex."""
+    """All reachable ordered vertex pairs of a complex, as one reach bitset
+    per vertex: bit b of ``bits[a]`` is set when b is reachable from a,
+    a included.  Membership, ``reach`` and the count read the bitsets;
+    the sorted pairs are listed on first iteration."""
 
-    pairs: tuple[tuple[int, int], ...]
+    bits: tuple[int, ...]
 
     @cached_property
-    def _members(self):
-        return frozenset(self.pairs)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs in ascending order, picked from all n * n pairs by
+        the bitsets written out as one string: row a, low bit first, at
+        offset a * n."""
+        n = len(self.bits)
+        digits = "".join(map(format, reversed(self.bits), itertools.repeat(f"0{n}b")))[::-1]
+        return tuple(itertools.compress(itertools.product(range(n), repeat=2),
+                                        digits.encode().translate(_BIT)))
 
     def __contains__(self, pair):
-        return pair in self._members
+        try:
+            a, b = pair
+            return 0 <= a < len(self.bits) and b >= 0 and self.bits[a] >> b & 1 == 1
+        except (TypeError, ValueError):  # not a pair of integers
+            return False
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self):
-        return len(self.pairs)
+        return sum(map(int.bit_count, self.bits))
 
     def reach(self, a):
         """The vertices reachable from a, a included."""
-        lo, hi = (bisect.bisect_left(self.pairs, (v,)) for v in (a, a + 1))
-        return {b for _, b in self.pairs[lo:hi]}
+        return set(bit_indices(self.bits[a]))
 
 
 def reachable(x: PrecubicalSet, a: int, b: int) -> bool:
     """True iff a monotone edge path a -> b exists."""
     x.check_vertex(a)
     x.check_vertex(b)
-    return b in descendants(x, a)
+    return (a, b) in gamma(x)
 
 
 def gamma(x: PrecubicalSet) -> GammaSet:
-    """The reachability relation, as a sorted tuple of pairs.
+    """The reachability relation, cached on x.
 
     One pass in reverse topological order makes the reach of every vertex
-    a bitset, its own bit or'ed with its out-neighbours' reaches.  The
-    pairs of a source are read off its bitset by lowest set bit, which
-    yields them in ascending order at one step per pair."""
-    if x._gamma is not None:
-        return x._gamma
-    edges, out, reach = x.edges, x._out, [0] * x.n_vertices
-    for v in reversed(x._order):
-        r = 1 << v
-        for e in out[v]:
-            r |= reach[edges[e][1]]
-        reach[v] = r
-    pairs = []
-    for a, r in enumerate(reach):
-        while r:
-            low = r & -r
-            pairs.append((a, low.bit_length() - 1))
-            r ^= low
-    x._gamma = GammaSet(tuple(pairs))
+    a bitset, its own bit or'ed with its out-neighbours' reaches."""
+    if x._gamma is None:
+        edges, out, reach = x.edges, x._out, [0] * x.n_vertices
+        for v in reversed(x._order):
+            r = 1 << v
+            for e in out[v]:
+                r |= reach[edges[e][1]]
+            reach[v] = r
+        x._gamma = GammaSet(tuple(reach))
     return x._gamma
-
-
-def descendants(x: PrecubicalSet, a: int) -> set:
-    """The vertices reachable from a, a included."""
-    seen = {a}
-    stack = [a]
-    while stack:
-        for e in x.out_edges(stack.pop()):
-            w = x.edges[e][1]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
@@ -285,16 +283,7 @@ def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
         cap = DEFAULT_PATH_CAP
     if not reachable(x, a, b):
         raise ModelError(f"vertex {b} is not reachable from {a}")
-    # restrict the search to vertices that can still reach b
-    useful = {b}
-    stack = [b]
-    while stack:
-        v = stack.pop()
-        for e in x.in_edges(v):
-            w = x.edges[e][0]
-            if w not in useful:
-                useful.add(w)
-                stack.append(w)
+    bits = gamma(x).bits  # the search keeps to vertices that can reach b
     if a == b:
         if cap < 1:
             raise PathCapExceeded((a, b), cap)
@@ -305,7 +294,7 @@ def enumerate_dpaths(x: PrecubicalSet, a: int, b: int, cap=None):
     while stack:
         for e in stack[-1]:
             w = x.edges[e][1]
-            if w not in useful:
+            if not bits[w] >> b & 1:
                 continue
             acc.append(e)
             if w != b:

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from operator import itemgetter
 
-from .cubecore import DPath, PrecubicalSet, gamma
+from .cubecore import DPath, PrecubicalSet, bit_indices, gamma
 from .errors import ModelError
 from .traceclass import _ONE, _table, one_class_sources, trace_classes
 
@@ -311,20 +310,20 @@ def _stages_1_to_3(x, y, f, g):
     are certified on both sides, which have one class at every vertex
     on their dipaths and so are never refused.  It refuses where a scan
     of that order through ``trace_classes`` does, and stage 3 reads only
-    pairs that it has passed."""
+    pairs that it has passed.  The pairs are read off the reach bitsets
+    of ``gamma``, as every table reads its reach."""
     for name, src, tgt, m in (("f", x, y, f), ("g", y, x, g)):
         bad = dmap_violations(src, tgt, m)
         if bad:
             raise ModelError(f"invalid dmap {name}: {bad[0]}")
-    gamma(x), gamma(y)  # first, so that every table reads its reach from gamma
     ones = one_class_sources(x)[1], one_class_sources(y)[1]
     inverses = []
     for name, own, other, m, one, theirs in (("f", x, y, f, *ones), ("g", y, x, g, *ones[::-1])):
         vm, inv = m.vertex_map, {}
         through = [i if tag == "e" else None for tag, i in m.edge_map]
-        for a, bs in groupby(gamma(own), itemgetter(0)):
+        for a, reach in enumerate(gamma(own).bits):
             t, ma, rows = None, vm[a], {a: _ONE}
-            for _, b in bs:
+            for b in bit_indices(reach):
                 if one[b] >> a & 1 and theirs[vm[b]] >> ma & 1:
                     inv[(a, b)] = rows[b] = _ONE  # one class on both sides
                     continue
@@ -363,6 +362,7 @@ def _unlifted(own, other, mv):
     each along the in-edges of mv c, then the out-edges of mv d, skipping
     by lemma 3 the neighbours that an own edge at c or d reaches."""
     own_e, other_e, pairs = own.edges, other.edges, gamma(own)
+    reach = pairs.bits
 
     def unlifted(own_adj, other_adj, end):
         """Per vertex c of own: the ``end`` vertices of other's edges at
@@ -388,7 +388,7 @@ def _unlifted(own, other, mv):
         for target in [(s, b) for s in ins[c]] + [(a, t) for t in outs[d]]:
             pre = image.get(target)
             if pre is not None and not any(
-                    (c2, c) in pairs._members and (d, d2) in pairs._members for c2, d2 in pre):
+                    reach[c2] >> c & 1 and reach[d] >> d2 & 1 for c2, d2 in pre):
                 return (c, d), target
     return None
 

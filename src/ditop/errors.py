@@ -6,15 +6,15 @@ class ModelError(ValueError):
 
 
 class PathCapExceeded(RuntimeError):
-    """A pair has more classes than the class tables' path cap
-    ``cubecore.DEFAULT_PATH_CAP``, or more dipaths than the ``cap`` of
-    ``enumerate_dpaths``: more dipaths than the cap in both cases.
+    """A pair is over a path cap.  The class tables count its classes
+    against ``cubecore.DEFAULT_PATH_CAP``; ``enumerate_dpaths`` counts its
+    dipaths against its ``cap``.
 
     Carries the offending endpoint pair so callers can report it.
     """
 
     def __init__(self, pair, cap):
-        super().__init__(f"more than {cap} dipaths for pair {pair}")
+        super().__init__(f"pair {pair} is over the path cap {cap}")
         self.pair = pair
         self.cap = cap
 

@@ -121,7 +121,7 @@ def build_natural_system(x: PrecubicalSet) -> NaturalClassSystem:
     to (s, b) per in-edge s -> a, then to (a, t) per out-edge b -> t.
     A refusal names (a, w) for the least source a with a vertex over the
     path cap, and the first such vertex w in ``x._order``."""
-    objects = tuple(gamma(x))
+    objects = gamma(x).pairs
     tables = whole_tables(x)
     index = [{} for _ in tables]  # a -> b -> the index of object (a, b)
     for i, (a, b) in enumerate(objects):

@@ -28,21 +28,23 @@ the action (0,) on its in-edges, and its least key is made only when a
 glue or a representative reads it.  A source with no open pair gets a
 table only if a prefix row needs one.
 
-The path cap ``cubecore.DEFAULT_PATH_CAP``, read at each check, bounds
-class counts: a glue that would store more than one class at a vertex w,
-and more than the cap, refuses (a, w) before it stores anything at w.
-Vertices are glued in topological order, so (a, b) is refused exactly
-when a vertex on a dipath a -> b, b included, has more than the cap of
-classes from a, and the refusal names the first such vertex in
-``x._order``, whatever queries ran before.  The glue at a vertex reads
-at most its in-degree times the cap members.
+The path cap ``cubecore.DEFAULT_PATH_CAP`` bounds class counts: a glue
+that would store more than one class at a vertex w, and more than the
+cap, refuses (a, w) before it stores anything at w.  Vertices are glued
+in topological order, so (a, b) is refused exactly when a vertex on a
+dipath a -> b, b included, has more than the cap of classes from a, and
+the refusal names the first such vertex in ``x._order``.  A table keeps
+the cap it was made under and is made anew once the cap differs, so an
+answer or refusal does not depend on the queries that ran before, under
+this cap or another.  The glue at a vertex reads at most its in-degree
+times the cap members.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import cubecore
-from .cubecore import DPath, PrecubicalSet, descendants, gamma
+from .cubecore import DPath, PrecubicalSet, gamma
 from .errors import ModelError, PathCapExceeded
 
 
@@ -52,13 +54,14 @@ _ONE = (0,)  # the action of an edge between one-class pairs
 class _Table:
     """Classes C(a, v) of one source ``a`` of a complex x, for the
     vertices v reachable from it, filled in topological order as far as
-    queries need.  It keeps no reference to x, which caches it, so a
-    complex and its tables are freed without the cycle collector."""
+    queries need, under the path cap read when it is made.  It keeps no
+    reference to x, which caches it, so a complex and its tables are
+    freed without the cycle collector."""
 
     def __init__(self, x: PrecubicalSet, a: int):
         self.a = a
-        # once gamma is known, each source's reach is read from it
-        self.reach = descendants(x, a) if x._gamma is None else x._gamma.reach(a)
+        self.cap = cubecore.DEFAULT_PATH_CAP
+        self.reach = gamma(x).reach(a)  # a set, read off the bitset of a
         self.order = sorted(self.reach, key=x._rank.__getitem__)  # a first
         self.count = {a: 1}  # v -> number of classes
         self.ext = {}  # edge f -> class map C(a, src f) -> C(a, tgt f)
@@ -112,8 +115,8 @@ class _Table:
             if any(r != t and edges[b][0] in reach for b, r, l, t in x._ends.get(v, ())):
                 count[v], key[v], ext[f], ext[g] = 1, (min(kf, kg),), (0,), (0,)
                 return
-            if cubecore.DEFAULT_PATH_CAP < 2:  # two classes
-                raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
+            if self.cap < 2:  # two classes
+                raise PathCapExceeded((self.a, v), self.cap)
             if kf < kg:
                 count[v], key[v], ext[f], ext[g] = 2, (kf, kg), (0,), (1,)
             else:
@@ -139,8 +142,8 @@ class _Table:
             if j is None or cand[i] < cand[j]:
                 least[k] = i
         ranked = sorted(least.values(), key=cand.__getitem__)
-        if len(ranked) > max(cubecore.DEFAULT_PATH_CAP, 1):
-            raise PathCapExceeded((self.a, v), cubecore.DEFAULT_PATH_CAP)
+        if len(ranked) > max(self.cap, 1):
+            raise PathCapExceeded((self.a, v), self.cap)
         cid = {label[i]: c for c, i in enumerate(ranked)}
         count[v] = len(ranked)
         key[v] = tuple([cand[i] for i in ranked])
@@ -196,6 +199,7 @@ class _Table:
         """The least member of each class at v, decoded from its key."""
         reps = self.reps.get(v)
         if reps is None:
+            self.classes(x, v)
             w, m = self.width, len(x.edges)
             reps = self.reps[v] = tuple([
                 DPath(self.a, tuple([int.from_bytes(k[i:i + w], "big") % m
@@ -268,8 +272,10 @@ class ExtensionArrow:
 
 
 def _table(x: PrecubicalSet, a: int) -> _Table:
+    """The cached table of a, made anew when the path cap has changed
+    since it was made."""
     t = x._class_cache.get(a)
-    if t is None:
+    if t is None or t.cap != cubecore.DEFAULT_PATH_CAP:
         t = x._class_cache[a] = _Table(x, a)
     return t
 
@@ -361,8 +367,8 @@ def whole_tables(x: PrecubicalSet):
     where a vertex without a row maps into a certified pair (s, w), so
     its row is constant 0.  Only the open pairs are glued, source by
     source in order, so a refusal names the least source with a vertex
-    over the path cap and the first such vertex in ``x._order``."""
-    gamma(x)  # first, so that new tables read their reach from it
+    over the path cap and the first such vertex in ``x._order``.  Each
+    table reads its reach off the bitsets of ``gamma``."""
     anc, one = one_class_sources(x)
     opened = [[] for _ in anc]  # a -> the vertices v with (a, v) open
     for v in x._order:

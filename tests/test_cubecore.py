@@ -109,6 +109,13 @@ def test_gamma_pairs_and_reach_match_the_closure_oracle(x):
     assert g.pairs == tuple(want)
     for a in range(x.n_vertices):
         assert g.reach(a) == {b for s, b in want if s == a}
+    # the bit tests, out of range included
+    n = x.n_vertices
+    for a in range(-1, n + 1):
+        for b in range(-1, n + 1):
+            assert ((a, b) in g) == ((a, b) in want)
+            if 0 <= a < n and 0 <= b < n:
+                assert reachable(x, a, b) == ((a, b) in want)
 
 
 def test_reachable_consistent_with_gamma(sf):

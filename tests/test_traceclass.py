@@ -193,6 +193,44 @@ def test_cap_refuses_exactly_above_the_class_count(x, k):
                 assert trace_classes(x, a, b).count == flip_class_count(x, a, b)
 
 
+# two 2 x 2 holes off the diagonal of a 6 x 6 grid: 3 classes from 0 to top
+TWO_HOLES = ((6, 6), [((1, 3), (3, 5)), ((3, 5), (1, 3))])
+
+
+def _refusal(x, a, b):
+    with pytest.raises(PathCapExceeded) as exc:
+        trace_classes(x, a, b)
+    return exc.value.pair, str(exc.value)
+
+
+def test_tables_glued_under_another_cap_are_made_anew(monkeypatch):
+    x, y, fresh = (build_grid_complex(*TWO_HOLES) for _ in range(3))
+    top = x.n_vertices - 1
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 2)
+    want = _refusal(fresh, 0, top)
+    assert want == ((0, 38), "pair (0, 38) is over the path cap 2")
+    # cap 3, then cap 2: refused as on a fresh copy, also when a class
+    # set made at cap 3 decodes its representatives
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 3)
+    old = trace_classes(x, 0, top)
+    assert old.count == 3
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 2)
+    with pytest.raises(PathCapExceeded):
+        old.representatives
+    assert _refusal(x, 0, top) == want
+    # cap 2, then cap 3: the refused table is not kept
+    assert _refusal(y, 0, top) == want
+    monkeypatch.setattr(cubecore, "DEFAULT_PATH_CAP", 3)
+    cs = trace_classes(y, 0, top)
+    assert cs.count == len(cs.representatives) == 3
+
+
+def test_one_pair_query_lists_no_pairs():
+    x = build_grid_complex(*TWO_HOLES)
+    assert trace_classes(x, 0, x.n_vertices - 1).count == 3
+    assert "pairs" not in vars(x._gamma)
+
+
 @pytest.mark.parametrize("n", [12, 20])
 def test_one_hole_grids_past_the_old_dipath_cap(n):
     # two classes around the central hole, and from 12 x 12 on more
