@@ -169,7 +169,7 @@ def _cmd_dicontractible(args):
     x = _load_model(*args.models[0])
     betti0, betti1, torsion = homology_ranks(x)
     contractible = trivial_homology(betti0, betti1, torsion)
-    section_ok, witness = section_exists(x)
+    section_ok, obstruction = section_exists(x)
     verdict = contractible and section_ok
     result = {
         "dicontractible": verdict,
@@ -178,7 +178,7 @@ def _cmd_dicontractible(args):
         "unique_class_per_pair": section_ok,
     }
     if not section_ok:
-        result["obstruction_pair"] = list(witness)
+        result["obstruction_pair"] = list(obstruction)
     return [x], result, f"dicontractible: {verdict}"
 
 

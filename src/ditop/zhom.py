@@ -16,16 +16,17 @@ no class table: every pair has one class exactly when the one-class
 bitsets of ``traceclass.one_class_sources`` certify every pair (the
 lemma is stated there).  A one-class pair is never over the path cap,
 which bounds class counts, so such a model is never refused.  Any other
-model falls back to the scan over the class tables in ``gamma`` order,
-which names the first obstruction pair, or the refusal of the first
-pair read that has a vertex over the cap.
+model is scanned in ``gamma`` order over the reach bitsets, reading the
+class tables at the open pairs only: a certified pair has one class at
+every vertex on its dipaths, so skipping it moves neither the first
+obstruction pair nor the first refusal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .cubecore import PrecubicalSet, gamma
+from .cubecore import PrecubicalSet, bit_indices, gamma
 from .traceclass import _table, one_class_sources
 
 
@@ -241,31 +242,18 @@ def is_contractible_surrogate(x: PrecubicalSet) -> bool:
     return trivial_homology(*homology_ranks(x))
 
 
-@dataclass(frozen=True)
-class SectionWitness:
-    """Chosen class id per reachable pair, compatible with every
-    elementary extension (vacuously so when all class sets are
-    singletons)."""
-
-    choices: dict
-
-
 def section_exists(x: PrecubicalSet):
     """Discrete section criterion: every pair in Gamma has exactly one
-    class.  Returns (True, SectionWitness) or (False, obstruction pair).
-
-    A model that passes the bitset check of the module docstring is
-    answered from gamma alone, with no class table.  Any other model is
-    scanned: pairs are read from the class tables in ``gamma`` order, so
-    the obstruction is the first pair with two classes or more, and no
-    pair after it is glued or refused."""
-    pairs = gamma(x)
+    class, so class 0 everywhere is a section.  Returns (True, None) or
+    (False, the first pair in ``gamma`` order with two classes or more);
+    no pair after that one is glued or refused."""
     anc, one = one_class_sources(x)
     if anc != one:
-        for a, b in pairs:
-            if _table(x, a).classes(x, b) != 1:
-                return False, (a, b)
-    return True, SectionWitness(dict.fromkeys(pairs, 0))
+        for a, reach in enumerate(gamma(x).bits):
+            for b in bit_indices(reach):
+                if not one[b] >> a & 1 and _table(x, a).classes(x, b) != 1:
+                    return False, (a, b)
+    return True, None
 
 
 def is_dicontractible(x: PrecubicalSet) -> bool:

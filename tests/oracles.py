@@ -14,8 +14,10 @@ check that tries every pair of dipaths as an arrow instead of every pair
 of classes, a lifting scan over every arrow and every pair instead of
 the neighbours that no edge lifts, and a natural class system built pair
 by pair through one-pair queries instead of from whole class tables.
-It also holds the extension helpers that only tests use: the identity
-arrow of a pair and the composite of two arrows.
+It also holds the extension helpers that only tests use, the identity
+arrow of a pair and the composite of two arrows, and two certificate
+builders that tests and ``tools/reports.py`` share: a relabelled copy
+and a grid's last layer collapsed onto the one before.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -807,6 +809,32 @@ def relabel_complex(x, perm):
     f = DMapData(tuple(perm), eids, sids)
     g = DMapData(tuple(inv), eids, sids)
     return y, f, g
+
+
+def collapse_last_layer(x, axis):
+    """The grid x without its last layer along ``axis``, the dmap that
+    pushes that layer onto the one before and the inclusion back, or
+    None when some cell has no image."""
+    from ditop.cubecore import PrecubicalSet
+    from ditop.equivcheck import dmap_from_vertex_map
+    from ditop.errors import ModelError
+
+    top = max(c[axis] for c in x.coords)
+    keep = [v for v in range(x.n_vertices) if x.coords[v][axis] < top]
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(s, t) for s, t in x.edges if s in index and t in index]
+    edge_index = {e: i for i, e in enumerate(edges)}
+    squares = [tuple(edge_index[x.edges[e]] for e in sq) for sq in x.squares
+               if all(x.edges[e] in edge_index for e in sq)]
+    y = PrecubicalSet(len(keep), [(index[s], index[t]) for s, t in edges], squares)
+    at = {x.coords[v]: index[v] for v in keep}
+    pushed = [at.get(c[:axis] + (min(c[axis], top - 1),) + c[axis + 1:]) for c in x.coords]
+    if None in pushed:
+        return None
+    try:
+        return y, dmap_from_vertex_map(x, y, pushed), dmap_from_vertex_map(y, x, keep)
+    except ModelError:
+        return None
 
 
 def feasible_choice(part, counts, arrows):

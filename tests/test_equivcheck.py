@@ -29,8 +29,8 @@ from ditop.zhom import section_exists
 
 from conftest import dag_models, grid_models
 from oracles import (
-    _PathClasses, _map_edges, connection_commutes_by_paths, equiv_by_paths, relabel_complex,
-    unlifted_reference)
+    _PathClasses, _map_edges, collapse_last_layer, connection_commutes_by_paths, equiv_by_paths,
+    relabel_complex, unlifted_reference)
 
 
 def test_identity_validates(any_fixture):
@@ -59,6 +59,16 @@ def test_dmap_from_vertex_map_roundtrip(pv1):
 def test_dmap_from_vertex_map_rejects_nonmonotone(seg):
     with pytest.raises(ModelError):
         dmap_from_vertex_map(seg, seg, (1, 0))
+
+
+@pytest.mark.parametrize("vm", [
+    [7, 7, 7, 7], [-1, -1, -1, -1], [0.9, 0.2, 0, 0], [0, 0, 1, 2], ["0", 0, 0, 0],
+    [True, 0, 0, 0]])
+def test_dmap_from_vertex_map_rejects_entries_off_the_target(topface, seg, vm):
+    # each entry must be an int naming a vertex of the target; none is
+    # rounded, wrapped or left for validate_dmap to reject
+    with pytest.raises(ModelError, match="not a vertex of the target"):
+        dmap_from_vertex_map(topface, seg, vm)
 
 
 def test_dmap_json_roundtrip(matchbox, topface):
@@ -296,26 +306,32 @@ def test_family_b_is_reported_before_c():
 EQUIV_MODELS = st.one_of(st.sampled_from(SWAP_MODELS), grid_models(), dag_models())
 
 
-def _collapse_last_layer(x, axis):
-    """The grid x without its last layer along ``axis``, the dmap that
-    pushes that layer onto the one before and the inclusion back, or
-    None when some cell has no image."""
-    top = max(c[axis] for c in x.coords)
-    keep = [v for v in range(x.n_vertices) if x.coords[v][axis] < top]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(s, t) for s, t in x.edges if s in index and t in index]
-    edge_index = {e: i for i, e in enumerate(edges)}
-    squares = [tuple(edge_index[x.edges[e]] for e in sq) for sq in x.squares
-               if all(x.edges[e] in edge_index for e in sq)]
-    y = PrecubicalSet(len(keep), [(index[s], index[t]) for s, t in edges], squares)
-    at = {x.coords[v]: index[v] for v in keep}
-    pushed = [at.get(c[:axis] + (min(c[axis], top - 1),) + c[axis + 1:]) for c in x.coords]
-    if None in pushed:
+@st.composite
+def collapses(draw):
+    """(x, y, f, g): a grid x, its last layer collapsed along one axis
+    into y, with the dmap f onto y and the inclusion g back; or None."""
+    x = draw(grid_models())
+    axes = [i for i in range(len(x.coords[0])) if max(c[i] for c in x.coords) > 1]
+    if not axes:
         return None
-    try:
-        return y, dmap_from_vertex_map(x, y, pushed), dmap_from_vertex_map(y, x, keep)
-    except ModelError:
+    collapsed = collapse_last_layer(x, draw(st.sampled_from(axes)))
+    return None if collapsed is None else (x, *collapsed)
+
+
+@st.composite
+def self_maps(draw):
+    """(w, maps), the dmaps of a self-map of w in the order applied: a
+    random self-dmap, or the composite g*f on x or f*g on y of a
+    collapse; or None."""
+    if draw(st.booleans()):
+        x = draw(EQUIV_MODELS)
+        h = _random_dmap(draw(st.randoms(use_true_random=False)), x, x)
+        return None if h is None else (x, [h])
+    cert = draw(collapses())
+    if cert is None:
         return None
+    x, y, f, g = cert
+    return draw(st.sampled_from([(x, [f, g]), (y, [g, f])]))
 
 
 @st.composite
@@ -334,12 +350,7 @@ def certificates(draw):
         perm = list(range(x.n_vertices))
         rng.shuffle(perm)
         return (x, *relabel_complex(x, perm))
-    x = draw(grid_models())
-    axes = [i for i in range(len(x.coords[0])) if max(c[i] for c in x.coords) > 1]
-    if not axes:
-        return None
-    collapsed = _collapse_last_layer(x, draw(st.sampled_from(axes)))
-    return None if collapsed is None else (x, *collapsed)
+    return draw(collapses())
 
 
 @settings(max_examples=200, deadline=None)
@@ -521,17 +532,19 @@ def test_inverse_class_arrows_commute_into_every_preimage(cert):
                             == [act[j] for j in induced[(c, d)]])
 
 
-@settings(max_examples=150, deadline=None)
-@given(EQUIV_MODELS, st.randoms(use_true_random=False))
-def test_connection_commutes_matches_the_path_oracle(x, rng):
-    # stage 3 alone, on a random self-dmap h, against every dipath
-    h = _random_dmap(rng, x, x)
-    assume(h is not None)
+@settings(max_examples=300, deadline=None)
+@given(self_maps())
+def test_connection_commutes_matches_the_path_oracle(drawn):
+    # stage 3 alone, on a random self-dmap or a collapse composite h,
+    # against every dipath
+    assume(drawn is not None)
+    x, maps = drawn
+    h = maps[0] if len(maps) == 1 else compose_dmaps(*maps)
     for a, b in gamma(x):
         trace_classes(x, a, b)
     for forward in (True, False):
         assert equivcheck._connection_commutes(x, h, forward) == \
-            connection_commutes_by_paths(x, [h], forward)
+            connection_commutes_by_paths(x, maps, forward)
 
 
 def test_connection_commutes_pinned(matchbox):
@@ -543,6 +556,18 @@ def test_connection_commutes_pinned(matchbox):
     for forward, want in ((True, True), (False, False)):
         assert equivcheck._connection_commutes(matchbox, h, forward) is want
         assert connection_commutes_by_paths(matchbox, [h], forward) is want
+
+
+def test_stages_1_to_3_list_no_pairs():
+    # the one-hole 6x6 grid with its last layer collapsed: g*f is not the
+    # identity, so stage 3 runs, and every stage reads the reach bitsets
+    x = build_grid_complex((6, 6), [((1, 4), (1, 4))])
+    y, f, g = collapse_last_layer(x, 0)
+    failure, _ = equivcheck._stages_1_to_3(x, y, f, g)
+    assert failure is None
+    assert compose_dmaps(f, g).vertex_map != tuple(range(x.n_vertices))
+    assert "pairs" not in vars(gamma(x))
+    assert "pairs" not in vars(gamma(y))
 
 
 def test_strong_lift_failure_pinned():

@@ -202,16 +202,6 @@ def test_section_stops_at_the_first_two_class_pair_before_the_cap():
     assert section_exists(x) == (False, (0, 49))
 
 
-def test_section_witness_covers_gamma(seg, wedge):
-    from ditop.cubecore import gamma
-
-    for x in (seg, wedge):
-        ok, witness = section_exists(x)
-        assert ok
-        assert set(witness.choices) == set(gamma(x).pairs)
-        assert set(witness.choices.values()) == {0}
-
-
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_section_check_agrees_with_the_table_scan(name):
     x = get_fixture(name)
@@ -258,10 +248,18 @@ def test_three_in_edges_disconnected_for_a_source():
 
 def test_a_one_class_model_is_decided_without_a_class_table():
     x = build_grid_complex((7, 7))
-    ok, witness = section_exists(x)
-    assert ok
-    assert witness.choices == dict.fromkeys(gamma(x), 0)
+    assert section_exists(x) == (True, None)
     assert x._class_cache == {}
+    assert "pairs" not in vars(gamma(x))
+
+
+def test_the_section_scan_lists_no_pairs():
+    # the scan reads the reach bitsets source by source and skips the
+    # certified pairs; the first pair with two classes runs from 0 to the
+    # top corner of the hole
+    x = build_grid_complex((10, 10), [((3, 6), (3, 6))])
+    assert section_exists(x) == (False, (0, grid_vertex(x, (6, 6))))
+    assert "pairs" not in vars(gamma(x))
 
 
 @pytest.mark.parametrize("n", [10, 30])

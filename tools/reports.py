@@ -9,7 +9,9 @@ stderr, input paths as ``IN``), so ``diff -r`` of two dumps compares two
 checkouts report by report.  ``grids.jsonl`` holds ``classes`` from 0
 to top and ``dicontractible`` on the one-hole 12x12 and 20x20 grids and
 the hole-free 10x10 and 30x30 grids, which shows how far the class
-tables reach.
+tables reach.  ``stage3.jsonl`` holds ``equiv``, class level and
+``--strong``, on certificates whose composites are not identities, so
+that the check reaches its stage 3.
 """
 import argparse, contextlib, io, json, os, sys, tempfile  # noqa: E401
 
@@ -46,6 +48,39 @@ def grid_queries(d):
                     ["dicontractible", *m])
 
 
+def stage3_queries(d):
+    """Certificates that reach stage 3: topface onto a point and back to
+    its vertex 0 (accepted) or 1 (refused at gf-homotopy), refusals at
+    fg-homotopy and at diagrams B and C, and the last layer of the
+    one-hole 6x6 and 9x9 grids collapsed along each axis."""
+    cc, lift = ditop.cubecore, ditop.equivcheck.dmap_from_vertex_map
+    models = {"point": cc.PrecubicalSet(1, []), "path2": cc.build_grid_complex((2,)),
+              **{name: fx.get_fixture(name) for name in ("seg", "wedge", "topface")}}
+    certs = [(x, y, lift(models[x], models[y], f), lift(models[y], models[x], g))
+             for x, y, f, g in (("topface", "point", [0] * 4, [0]),  # accepted
+                                ("topface", "point", [0] * 4, [1]),  # gf-homotopy
+                                ("point", "path2", [1], [0] * 3),  # fg-homotopy
+                                ("seg", "wedge", [0, 0], [0, 0, 1]),  # diagram-B
+                                ("wedge", "wedge", [0, 1, 0], [0, 1, 2]))]  # diagram-C
+    for n in (6, 9):
+        x = models[f"H{n}"] = cc.build_grid_complex((n, n), [workloads.hole_box(n)])
+        for axis in (0, 1):
+            y, f, g = oracles.collapse_last_layer(x, axis)
+            models[f"H{n}-{axis}"] = y
+            certs.append((f"H{n}", f"H{n}-{axis}", f, g))
+    os.makedirs(d)
+    for name, m in models.items():
+        with open(f"{d}/{name}.json", "w") as fh:
+            fh.write(m.to_json())
+    for i, (x, y, f, g) in enumerate(certs):
+        for name, m in (("f", f), ("g", g)):
+            with open(f"{d}/c{i}_{name}.json", "w") as fh:
+                fh.write(m.to_json())
+        argv = ["equiv", f"{d}/{x}.json", f"{d}/{y}.json", "--f", f"{d}/c{i}_f.json",
+                "--g", f"{d}/c{i}_g.json"]
+        yield from (argv, argv + ["--strong"])
+
+
 def dump(path, queries, d):
     with open(path, "w") as fh:
         for argv in queries:
@@ -72,6 +107,7 @@ def main():
                 dump(f"{args.out}/{workload}-s{seed}.jsonl", [q.argv for q in queries], w)
         dump(f"{args.out}/fixtures.jsonl", list(fixture_queries(d)), d)
         dump(f"{args.out}/grids.jsonl", list(grid_queries(f"{d}/grids")), f"{d}/grids")
+        dump(f"{args.out}/stage3.jsonl", list(stage3_queries(f"{d}/stage3")), f"{d}/stage3")
 
 
 if __name__ == "__main__":
