@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .cubecore import PrecubicalSet, gamma
 from .errors import BudgetExceeded
 from .natsys import build_natural_system
-from .traceclass import elementary_arrows, extend_class, trace_classes
 
 DEFAULT_PART_CAP = 6
 GAMMA_CAP = 2500
@@ -184,23 +183,27 @@ class _Part:
 
 
 def verify_partition(x: PrecubicalSet, sp: SectionPartition) -> bool:
-    pairs = set(gamma(x))
-    seen = set()
+    """Do the parts cover the reachable pairs disjointly, each pair with a
+    class of its own, and does every arrow of the natural system inside a
+    part send the choice at its source to the choice at its target?"""
+    reach, seen = gamma(x), set()
     for part in sp.parts:
         if part & seen:
             return False
         seen |= part
-    if seen != pairs:
+    if len(seen) != len(reach) or not all(pair in reach for pair in seen):
         return False
+    system = build_natural_system(x)
+    objects = system.objects
+    index = {pair: p for p, pair in enumerate(objects)}
     for part in sp.parts:
         for pair in part:
-            choice = sp.choices.get(pair)
-            count = trace_classes(x, *pair).count
-            if choice is None or not (0 <= choice < count):
+            p, choice = index[pair], sp.choices.get(pair)
+            if choice is None or not (0 <= choice < system.counts[p]):
                 return False
-            for ar in elementary_arrows(x, pair):
+            for q, action in system.arrows[p]:
                 # a target without a choice fails here or at its own turn
-                if ar.target in part and extend_class(x, ar, choice) != sp.choices.get(ar.target):
+                if objects[q] in part and action[choice] != sp.choices.get(objects[q]):
                     return False
     return True
 

@@ -31,6 +31,11 @@ alpha and beta, and three lemmas leave no arrow to search for:
 
 So both checks run stages 1-3 and then one reachability test per side,
 B with the roles of (x, f) and (y, g) swapped from C, and they agree.
+In the paper, an equivalence also carries inverse maps F and G on the
+dipaths between image pairs.  At class level they are the inverses of
+the bijections that f and g induce, so f and g fix them: a certificate
+keeps x, y, f and g only, and ``induced_class_map`` gives the class map
+of a pair on demand.  No stage keeps anything per pair.
 Stage 1 reads the class maps of m at a source a off rows filled in
 topological order over its reach, as far as the pairs read need: the
 row of w, C(a, w) -> C(m a, m w), follows from the row of u through
@@ -39,8 +44,10 @@ where m collapses it), and by lemma 1 all in-edges give the same row.
 A pair that ``traceclass.one_class_sources`` certifies, with its image
 certified in the other model, maps bijectively with the row (0,) and
 reads no table; a source gets its two tables at its first other pair.
-Stage 3 reads rows too, from the class 0 of a connecting dipath, so it
-decodes no representative but the connecting dipaths.
+Stage 3 reads rows too and skips every pair whose target pair the same
+bitsets certify; it decodes no representative but a connecting
+dipath, and that only where a pair reads it.  The diagram scan reads
+the reach bitsets and the preimages of each vertex as a bitset.
 """
 from __future__ import annotations
 
@@ -251,16 +258,15 @@ def induced_class_map(x, y, f, a, b):
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
-    """Accepted equivalence data: the dmaps and the inverse class
-    bijections F (indexed by source pairs) and G (indexed by target
-    pairs), with which every diagram commutes by the two lemmas."""
+    """Accepted equivalence data: the two models and the dmaps.  The
+    inverse maps F and G of the paper are, at class level, the inverses
+    of the class bijections that f and g induce, which
+    ``induced_class_map`` gives pair by pair, so they are not stored."""
 
     x: PrecubicalSet
     y: PrecubicalSet
     f: DMapData
     g: DMapData
-    F: dict
-    G: dict
 
 
 @dataclass(frozen=True)
@@ -282,10 +288,13 @@ def _connection_commutes(w, h, forward):
     before the fold along w_b: forward [p] and, by the row pass of h into
     the table of a, [w_a.h(p)]; backward, by the row passes of h and of
     the identity into the table of h(a), [h(p)] and [w_a.p].  A pair
-    whose sides land in a one-class pair is skipped.  Every table is
-    glued up to a pair of w that stage 1 passed, so none is refused.
-    Only the first connecting dipaths are tried, so a refusal is
-    conservative where some pair has two classes or more.
+    whose target pair, (a, h(b)) or (h(a), b), ``one_class_sources``
+    certifies has one class there and is skipped; a source gets its
+    tables at its first other pair, and w_b is decoded only when a pair
+    reads it.  Every table is glued up to a pair of w that stage 1
+    passed, so none is refused.  Only the first connecting dipaths are
+    tried, so a refusal is conservative where some pair has two classes
+    or more.
 
     The tests barely see w_b: a variant that drops the fold along w_b
     passes ``tests/test_equivcheck.py`` and ``tests/test_acceptance.py``
@@ -295,28 +304,29 @@ def _connection_commutes(w, h, forward):
     ends = [(v, vm[v]) if forward else (vm[v], v) for v in range(w.n_vertices)]
     if not all(end in reach for end in ends):
         return False
-    # in the table of a's side, class 0 at the other end of w_a is [w_a]
-    conn = [_table(w, s).representatives(w, t)[0].edges for s, t in ends]
-    through = _through(h)
+    one, through = one_class_sources(w)[1], _through(h)
     for a, bits in enumerate(reach.bits):
-        own, outer = _table(w, a), _table(w, a if forward else vm[a])
-        mapped, plain = {a: _ONE}, {a: _ONE}
+        own, mapped, plain = None, {a: _ONE}, {a: _ONE}
         for b in bit_indices(bits):
-            if outer.classes(w, vm[b] if forward else b) == 1:
+            start, end = (a, vm[b]) if forward else (vm[a], b)
+            if one[end] >> start & 1:
                 continue
+            if own is None:
+                own, outer = _table(w, a), _table(w, start)
+            outer.classes(w, end)
             own.classes(w, b)
+            conn = _table(w, ends[b][0]).representatives(w, ends[b][1])[0].edges
             hp = own.rows(w, outer, mapped, b, through)[b]
             left, right = (range(len(hp)), hp) if forward else (hp, own.rows(w, outer, plain, b)[b])
-            if any(outer.fold(c, conn[b]) != d for c, d in zip(left, right)):
+            if any(outer.fold(c, conn) != d for c, d in zip(left, right)):
                 return False
     return True
 
 
 def _stages_1_to_3(x, y, f, g):
     """Stages 1-3 of both checks: dmap validation, class bijections of f
-    then g, homotopies of g*f then f*g to the identities.  Returns
-    (None, (F, G)), the inverse class maps per own pair, or
-    (EquivFailure, None).  Stage 1 reads the pairs of each side in
+    then g, homotopies of g*f then f*g to the identities.  Returns the
+    first EquivFailure, or None.  Stage 1 reads the pairs of each side in
     ``gamma`` order, the own pair then its image, and skips those that
     are certified on both sides, which have one class at every vertex
     on their dipaths and so are never refused.  It refuses where a scan
@@ -328,15 +338,13 @@ def _stages_1_to_3(x, y, f, g):
         if bad:
             raise ModelError(f"invalid dmap {name}: {bad[0]}")
     ones = one_class_sources(x)[1], one_class_sources(y)[1]
-    inverses = []
     for name, own, other, m, one, theirs in (("f", x, y, f, *ones), ("g", y, x, g, *ones[::-1])):
-        vm, inv = m.vertex_map, {}
-        through = _through(m)
+        vm, through = m.vertex_map, _through(m)
         for a, reach in enumerate(gamma(own).bits):
             t, ma, rows = None, vm[a], {a: _ONE}
             for b in bit_indices(reach):
                 if one[b] >> a & 1 and theirs[vm[b]] >> ma & 1:
-                    inv[(a, b)] = rows[b] = _ONE  # one class on both sides
+                    rows[b] = _ONE  # one class on both sides
                     continue
                 if t is None:
                     t, u = _table(own, a), _table(other, ma)
@@ -347,10 +355,7 @@ def _stages_1_to_3(x, y, f, g):
                 if len(set(img)) != n or n != n_target:
                     return EquivFailure(
                         f"{name}-class-bijection", (a, b),
-                        f"{n} classes map onto {len(set(img))} of {n_target}",
-                    ), None
-                inv[(a, b)] = img if n == 1 else tuple(map(img.index, range(n)))
-        inverses.append(inv)
+                        f"{n} classes map onto {len(set(img))} of {n_target}")
     for stage, name, w, first, then in (
         ("gf-homotopy", "g*f", x, f, g), ("fg-homotopy", "f*g", y, g, f)
     ):
@@ -359,9 +364,8 @@ def _stages_1_to_3(x, y, f, g):
         h = compose_dmaps(first, then)
         if any(h.vertex_map[v] != v for v in range(w.n_vertices)) and not any(
                 _connection_commutes(w, h, forward) for forward in (True, False)):
-            return EquivFailure(
-                stage, (), f"{name} admits no directed homotopy to id"), None
-    return None, tuple(inverses)
+            return EquivFailure(stage, (), f"{name} admits no directed homotopy to id")
+    return None
 
 
 def _unlifted(own, other, mv):
@@ -371,36 +375,39 @@ def _unlifted(own, other, mv):
     pair, none of whose preimages (c2, d2) has (c2, c) and (d, d2)
     reachable; or None.  Pairs go in ``gamma`` order, and the arrows of
     each along the in-edges of mv c, then the out-edges of mv d, skipping
-    by lemma 3 the neighbours that an own edge at c or d reaches."""
-    own_e, other_e, pairs = own.edges, other.edges, gamma(own)
-    reach = pairs.bits
+    by lemma 3 the neighbours that an own edge at c or d reaches and
+    those with no preimage.  Pairs are read off the reach bitsets, and
+    with each preimage set as a bitset, the target (s, t) is an image
+    pair when some preimage of s reaches one of t, and lifted when some
+    preimage of s reaches c and d reaches one of t: then c2 -> c -> d ->
+    d2 makes (c2, d2) a pair."""
+    own_e, other_e, reach = own.edges, other.edges, gamma(own).bits
+    pre = [0] * other.n_vertices  # per vertex of other: its preimages
+    for v, image in enumerate(mv):
+        pre[image] |= 1 << v
 
     def unlifted(own_adj, other_adj, end):
         """Per vertex c of own: the ``end`` vertices of other's edges at
-        mv c that are not the image of the ``end`` of an own edge at c."""
+        mv c that have a preimage and are not the image of the ``end`` of
+        an own edge at c."""
         rows = []
         for c, adj in enumerate(own_adj):
             lifted = {mv[own_e[e][end]] for e in adj}
-            rows.append([other_e[e][end] for e in other_adj[mv[c]] if other_e[e][end] not in lifted])
+            ends = (other_e[e][end] for e in other_adj[mv[c]])
+            rows.append([v for v in ends if pre[v] and v not in lifted])
         return rows
 
     ins, outs = unlifted(own._in, other._in, 0), unlifted(own._out, other._out, 1)
-    if not (any(ins) or any(outs)):
-        return None
-    # a target is (s, mv d) with s in some ins, or (mv c, t) with t in
-    # some outs: only the pairs with such an image are indexed
-    firsts, seconds = set().union(*ins), set().union(*outs)
-    image = {}
-    for a, b in pairs:
-        if mv[a] in firsts or mv[b] in seconds:
-            image.setdefault((mv[a], mv[b]), []).append((a, b))
-    for c, d in pairs:
-        a, b = mv[c], mv[d]
-        for target in [(s, b) for s in ins[c]] + [(a, t) for t in outs[d]]:
-            pre = image.get(target)
-            if pre is not None and not any(
-                    reach[c2] >> c & 1 and reach[d] >> d2 & 1 for c2, d2 in pre):
-                return (c, d), target
+    # a pair (c, d) has a target only when ins[c] or outs[d] is not empty
+    with_outs = sum(1 << d for d, ts in enumerate(outs) if ts)
+    for c, bits in enumerate(reach):
+        for d in bit_indices(bits if ins[c] else bits & with_outs):
+            a, b = mv[c], mv[d]
+            for s, t in [(s, b) for s in ins[c]] + [(a, t) for t in outs[d]]:
+                firsts = list(bit_indices(pre[s]))
+                if any(reach[c2] & pre[t] for c2 in firsts) and not (
+                        reach[d] & pre[t] and any(reach[c2] >> c & 1 for c2 in firsts)):
+                    return (c, d), (s, t)
     return None
 
 
@@ -413,7 +420,7 @@ def check_dihomotopy_equivalence(x, y, f, g):
     then diagram families B and C, which by the two lemmas fail exactly
     where a lifting diagram has no preimage.  Families A and D hold.
     """
-    failure, inverses = _stages_1_to_3(x, y, f, g)
+    failure = _stages_1_to_3(x, y, f, g)
     if failure is not None:
         return False, failure
     for label, own, other, m in (("B", y, x, g), ("C", x, y, f)):
@@ -421,14 +428,15 @@ def check_dihomotopy_equivalence(x, y, f, g):
         if miss is not None:
             return False, EquivFailure(
                 f"diagram-{label}", miss, "no preimage pair extends the source")
-    return True, EquivalenceCertificate(x, y, f, g, *inverses)
+    return True, EquivalenceCertificate(x, y, f, g)
 
 
 def check_strong(x, y, f, g) -> bool:
     """Pointwise naturality conditions (a)-(d) on (f, g, F, G).
 
-    F and G are the inverses of the induced class maps; a non-bijective
-    induced map or a failed homotopy to the identity fails the check.
+    F and G are the inverses of the induced class maps, so f and g fix
+    them; a non-bijective induced map or a failed homotopy to the
+    identity fails the check.
     Conditions (a) and (b) hold by lemma 1, and (c) and (d) fail exactly
     where B and C do by lemma 2, so the verdict is the class-level one.
     """

@@ -3,6 +3,10 @@ from hypothesis import settings, strategies as st
 
 from ditop import fixtures as fx
 from ditop.cubecore import PrecubicalSet, build_grid_complex
+from ditop.equivcheck import check_dihomotopy_equivalence, compose_equivalences
+from ditop.errors import ModelError
+
+from oracles import collapse_last_layer, point_certificate, relabel_complex
 
 ALL_FIXTURES = ("seg", "wedge", "pv1", "sf", "hs", "matchbox", "topface")
 
@@ -118,3 +122,47 @@ def dag_models(draw):
     ]
     squares = draw(st.lists(st.sampled_from(quads), max_size=6, unique=True)) if quads else []
     return PrecubicalSet(n, edges, squares)
+
+
+@st.composite
+def small_grid_models(draw):
+    """A 2D grid of up to 5x5 cells minus up to two boxes."""
+    dims = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    partial = [i for i, d in enumerate(dims) if d > 1]
+    return build_grid_complex(dims, _boxes(draw, dims, partial, 2))
+
+
+def _certificate(draw, x):
+    """A certificate from x that the check accepts, or None: a relabelled
+    copy, a point certificate at vertex 0, or, where x has coords, its
+    last layer along an axis collapsed onto the one before."""
+    axes = [i for i in range(len(x.coords[0])) if max(c[i] for c in x.coords) > 0] if x.coords else []
+    kind = draw(st.sampled_from(["relabel", "point", *axes]))
+    if kind == "relabel":
+        made = relabel_complex(x, draw(st.permutations(range(x.n_vertices))))
+    elif kind == "point":
+        made = point_certificate(x)
+    else:
+        made = collapse_last_layer(x, kind)
+    if made is None:
+        return None
+    ok, cert = check_dihomotopy_equivalence(x, *made)
+    return cert if ok else None
+
+
+@st.composite
+def equivalence_certificates(draw):
+    """An accepted ``EquivalenceCertificate`` from a ``small_grid_models``
+    grid: one certificate of ``_certificate``, or two of them composed by
+    ``compose_equivalences``, the second from the model the first leads
+    to; or None where the check refuses one of them."""
+    cert = _certificate(draw, draw(small_grid_models()))
+    if cert is None or draw(st.booleans()):
+        return cert
+    then = _certificate(draw, cert.y)
+    if then is None:
+        return None
+    try:
+        return compose_equivalences(cert, then)
+    except ModelError:  # the composite is refused
+        return None

@@ -15,9 +15,10 @@ of classes, a lifting scan over every arrow and every pair instead of
 the neighbours that no edge lifts, and a natural class system built pair
 by pair through one-pair queries instead of from whole class tables.
 It also holds the extension helpers that only tests use, the identity
-arrow of a pair and the composite of two arrows, and two certificate
-builders that tests and ``tools/reports.py`` share: a relabelled copy
-and a grid's last layer collapsed onto the one before.
+arrow of a pair and the composite of two arrows, and the certificate
+builders of tests and ``tools/reports.py``: a relabelled copy, a grid's
+last layer collapsed onto the one before, and a model collapsed onto a
+point.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -812,9 +813,10 @@ def relabel_complex(x, perm):
 
 
 def collapse_last_layer(x, axis):
-    """The grid x without its last layer along ``axis``, the dmap that
-    pushes that layer onto the one before and the inclusion back, or
-    None when some cell has no image."""
+    """The grid x without its last layer along ``axis``, with the coords
+    it keeps, so that another collapse can follow; the dmap that pushes
+    that layer onto the one before and the inclusion back; or None when
+    some cell has no image."""
     from ditop.cubecore import PrecubicalSet
     from ditop.equivcheck import dmap_from_vertex_map
     from ditop.errors import ModelError
@@ -826,7 +828,8 @@ def collapse_last_layer(x, axis):
     edge_index = {e: i for i, e in enumerate(edges)}
     squares = [tuple(edge_index[x.edges[e]] for e in sq) for sq in x.squares
                if all(x.edges[e] in edge_index for e in sq)]
-    y = PrecubicalSet(len(keep), [(index[s], index[t]) for s, t in edges], squares)
+    y = PrecubicalSet(len(keep), [(index[s], index[t]) for s, t in edges], squares,
+                      coords=[x.coords[v] for v in keep])
     at = {x.coords[v]: index[v] for v in keep}
     pushed = [at.get(c[:axis] + (min(c[axis], top - 1),) + c[axis + 1:]) for c in x.coords]
     if None in pushed:
@@ -835,6 +838,17 @@ def collapse_last_layer(x, axis):
         return y, dmap_from_vertex_map(x, y, pushed), dmap_from_vertex_map(y, x, keep)
     except ModelError:
         return None
+
+
+def point_certificate(x, v=0):
+    """A point, the dmap that collapses x onto it and the inclusion of
+    the point back at the vertex v."""
+    from ditop.cubecore import PrecubicalSet
+    from ditop.equivcheck import dmap_from_vertex_map
+
+    point = PrecubicalSet(1, [])
+    return (point, dmap_from_vertex_map(x, point, [0] * x.n_vertices),
+            dmap_from_vertex_map(point, x, [v]))
 
 
 def feasible_choice(part, counts, arrows):
