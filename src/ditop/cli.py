@@ -194,7 +194,8 @@ def _cmd_ditc(args):
         "mode": mode,
         "n": n,
         "parts": [sorted([list(p) for p in part]) for part in sp.parts],
-        "choices": {f"{a},{b}": c for (a, b), c in sorted(sp.choices.items())},
+        # every pair not listed takes class 0, as each one-class pair must
+        "choices": {f"{a},{b}": c for (a, b), c in sorted(sp.choices.items()) if c},
     }
     return [x], result, f"diTC {mode} bound: {n}"
 

@@ -896,6 +896,38 @@ def feasible_choice(part, counts, arrows):
     return None
 
 
+def forced_classes(part, counts, arrows):
+    """The classes that every compatible choice on a pair set gives to
+    its multi-class pairs, or None when two of them clash.  Each sweep
+    reads every arrow inside the part: its target takes the image of
+    its source's class (0 for a one-class source), and a multi-class
+    source takes the preimage of a forced target's class when it is
+    unique (none is a clash).  Sweeps repeat until nothing is added."""
+    part = set(part)
+    forced = {}
+    while True:
+        found = []
+        for p in part:
+            for q, action in arrows[p]:
+                if q not in part or counts[q] == 1:
+                    continue
+                c = 0 if counts[p] == 1 else forced.get(p)
+                if c is not None:
+                    found.append((q, action[c]))
+                if counts[p] > 1 and q in forced:
+                    sources = [c for c, d in enumerate(action) if d == forced[q]]
+                    if not sources:
+                        return None
+                    if len(sources) == 1:
+                        found.append((p, sources[0]))
+        before = len(forced)
+        for q, c in found:
+            if forced.setdefault(q, c) != c:
+                return None
+        if len(forced) == before:
+            return forced
+
+
 def greedy_reference(pairs, counts, arrows):
     """Greedy partition that solves the whole part with
     ``feasible_choice`` for every candidate pair."""
@@ -924,16 +956,12 @@ def ditc_reference(x, upper=False, cap=6):
     of the greedy bound when ``upper``, else of branch and bound over all
     pairs, with the greedy bound as incumbent and ``feasible_choice`` on
     the whole part at every node."""
-    from ditop.cubecore import gamma
-    from ditop.ditc import GAMMA_CAP, SectionPartition
+    from ditop.ditc import SectionPartition, check_system_size
     from ditop.errors import BudgetExceeded
 
+    check_system_size(x)
     if upper:
         return greedy_reference(*_arrow_table_reference(x))
-    n_pairs = len(gamma(x))
-    if n_pairs > GAMMA_CAP:
-        raise BudgetExceeded(
-            f"{n_pairs} reachable pairs exceed the exact-search cap {GAMMA_CAP}")
     pairs, counts, arrows = _arrow_table_reference(x)
     n_upper, sp_upper = greedy_reference(pairs, counts, arrows)
     if n_upper == 1:

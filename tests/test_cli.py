@@ -9,7 +9,7 @@ import pytest
 
 import ditop
 
-from ditop import ditc
+from ditop import ditc, pvlang
 from ditop.cli import run
 from ditop.cubecore import PrecubicalSet, build_grid_complex, grid_vertex
 from ditop.equivcheck import dmap_from_vertex_map, identity_dmap
@@ -185,6 +185,40 @@ def test_ditc_upper(pv1_file, capsys):
     assert rep["result"]["n"] >= 2
 
 
+def test_ditc_on_the_one_hole_9x9_grid(tmp_path, capsys):
+    x = build_grid_complex((9, 9), [((3, 6), (3, 6))])
+    path = tmp_path / "h9.json"
+    path.write_text(x.to_json())
+    assert run(["ditc", "--complex", str(path)]) == 0
+    result = _last_json(capsys)["result"]
+    assert (result["mode"], result["n"]) == ("exact", 2)
+    parts = tuple(frozenset(map(tuple, part)) for part in result["parts"])
+    # the report lists only the pairs whose class is not 0
+    listed = {tuple(map(int, pair.split(","))): c for pair, c in result["choices"].items()}
+    assert 0 not in listed.values()
+    choices = {pair: listed.get(pair, 0) for part in parts for pair in part}
+    assert ditc.verify_partition(x, ditc.SectionPartition(parts, choices))
+    assert choices == ditc.ditc_exact(x)[1].choices
+
+
+def test_ditc_upper_on_cap3(tmp_path, capsys):
+    path = tmp_path / "cap3.pv"
+    path.write_text("Pa Va Pb Vb | Pb Vb Pa Va | Pa Pb Vb Va\n")
+    assert run(["ditc", "--pv", str(path), "--upper"]) == 0
+    assert _last_json(capsys)["result"]["n"] == 3
+
+
+def test_ditc_on_m4_runs_out_of_search_nodes(monkeypatch, tmp_path, capsys):
+    # the greedy search of the 4-process mutex is exponential; the node
+    # budget stops it in its first part
+    monkeypatch.setattr(pvlang, "DEFAULT_DIM_CAP", 4)
+    path = tmp_path / "m4.pv"
+    path.write_text("Pa Va | Pa Va | Pa Va | Pa Va\n")
+    assert run(["ditc", "--pv", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: greedy stopped at part 0 after 200,000 search nodes, the node budget\n")
+
+
 def test_consecutive_runs_see_only_their_own_models(pv1_file, tmp_path, capsys, seg, hs):
     # the parser is built once per process, so no parse may keep models
     seg_json = tmp_path / "seg.json"
@@ -326,11 +360,13 @@ def test_module_entry_point_exit_codes(tmp_path):
 
     out = ditop_m("--version")
     assert (out.returncode, out.stdout.strip()) == (0, ditop.__version__)
+    # a 1,200-vertex chain is over the default size budget of ditc
     chain = tmp_path / "chain.json"
-    chain.write_text(PrecubicalSet(71, [(i, i + 1) for i in range(70)]).to_json())
+    chain.write_text(PrecubicalSet(1200, [(i, i + 1) for i in range(1199)]).to_json())
     out = ditop_m("ditc", "--complex", str(chain))
     assert out.returncode == 2
-    assert out.stderr == "error: 2556 reachable pairs exceed the exact-search cap 2500\n"
+    assert out.stderr == ("error: the natural system has 720,600 objects and 1,438,800 "
+                          "arrows, over the size budget 1,500,000\n")
     if sys.version_info >= (3, 11):
         import tomllib
 

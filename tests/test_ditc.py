@@ -6,10 +6,11 @@ from ditop.cubecore import PrecubicalSet, build_grid_complex, gamma, grid_vertex
 from ditop.ditc import SectionPartition, ditc_exact, ditc_upper, verify_partition
 from ditop.errors import BudgetExceeded
 from ditop.fixtures import get_fixture
+from ditop.natsys import build_natural_system
 from ditop.zhom import is_dicontractible, section_exists
 
 from conftest import ALL_FIXTURES, dag_models, grid_models
-from oracles import _arrow_table_reference, ditc_reference, feasible_choice
+from oracles import _arrow_table_reference, ditc_reference, feasible_choice, forced_classes
 
 MODELS = st.one_of(grid_models(), dag_models())
 
@@ -100,12 +101,55 @@ def test_part_cap_budget(monkeypatch, pv1):
         ditc_exact(pv1)
 
 
-def test_gamma_cap_refused_before_any_class_is_built():
-    # a 71-vertex chain has 2,556 reachable pairs, over GAMMA_CAP
+def test_system_budget_refused_before_any_class_is_built(monkeypatch):
+    # a 71-vertex chain: 2,556 reachable pairs, and an arrow per in-edge
+    # of a and per out-edge of b for each pair (a, b): 2 x 2,485 arrows
+    monkeypatch.setattr(ditc, "DEFAULT_SYSTEM_BUDGET", 2556 + 4970 - 1)
     x = PrecubicalSet(71, [(i, i + 1) for i in range(70)])
-    with pytest.raises(BudgetExceeded, match="reachable pairs"):
-        ditc_exact(x)
+    for search in (ditc_exact, ditc_upper):
+        with pytest.raises(BudgetExceeded) as exc:
+            search(x)
+        assert str(exc.value) == (
+            "the natural system has 2,556 objects and 4,970 arrows, "
+            "over the size budget 7,525")
     assert x._class_cache == {}
+    system = build_natural_system(x)
+    assert len(system.objects) + sum(map(len, system.arrows)) == 7526
+    monkeypatch.setattr(ditc, "DEFAULT_SYSTEM_BUDGET", 7526)
+    assert ditc_exact(x)[0] == 1
+
+
+@pytest.mark.parametrize("budget, message", [
+    (0, "greedy stopped at part 1 after 0 search nodes"),
+    (9, "branch and bound stopped at part 0 after 9 search nodes"),
+])
+def test_node_budget_names_the_stage_part_and_nodes(monkeypatch, budget, message):
+    # greedy needs 3 parts here, and 9 nodes to find them; branch and
+    # bound then finds 2 after 33 more
+    x = PrecubicalSet(4, [(2, 0), (0, 1), (3, 1), (3, 1), (3, 2), (0, 1), (3, 2)])
+    monkeypatch.setattr(ditc, "DEFAULT_NODE_BUDGET", budget)
+    with pytest.raises(BudgetExceeded) as exc:
+        ditc_exact(x)
+    assert str(exc.value) == message + ", the node budget"
+    monkeypatch.setattr(ditc, "DEFAULT_NODE_BUDGET", 42)
+    assert ditc_exact(x)[0] == 2
+
+
+def test_greedy_on_the_9x9_grid_solves_once_per_part(monkeypatch):
+    # the closure refuses every pair that greedy defers, so the only
+    # solves left are the least choices of the parts
+    calls = []
+    solve = ditc._Part.solve
+
+    def counting(part):
+        calls.append(len(part.members))
+        return solve(part)
+
+    monkeypatch.setattr(ditc._Part, "solve", counting)
+    x = _one_hole_grid(9)
+    n, sp = ditc_upper(x)
+    assert n == 2 and len(calls) <= n
+    assert verify_partition(x, sp)
 
 
 def test_exact_builds_the_arrow_table_once(monkeypatch, pv1):
@@ -159,8 +203,40 @@ def test_a_part_agrees_with_a_from_scratch_solve(x, data):
         if feasible:
             members.append(p)
         assert part.members == set(members)
+        assert {pairs[q]: c for q, c in part.forced.items()} == forced_classes(
+            [pairs[q] for q in members], pair_counts, arrows)
         choice = {pairs[q]: c for q, c in part.choices().items()}
         assert choice == feasible_choice([pairs[q] for q in members], pair_counts, arrows)
+
+
+def test_the_closure_rules_on_a_hand_built_table(monkeypatch):
+    # objects: r with one class, q, p, s, t and u with two
+    r, q, p, s, t, u = range(6)
+    counts = (1, 2, 2, 2, 2, 2)
+    succ, pred = [[] for _ in counts], [[] for _ in counts]
+    for a, b, action in [(r, q, (1,)), (p, q, (1, 0)), (p, s, (0, 1)),
+                         (t, q, (1, 1)), (u, q, (0, 0))]:
+        preimage = {}
+        for c, d in enumerate(action):
+            preimage.setdefault(d, []).append(c)
+        succ[a].append((b, action, preimage))
+        pred[b].append((a, action, preimage))
+    solves = []
+    solve = ditc._Part.solve
+    monkeypatch.setattr(ditc._Part, "solve", lambda part: solves.append(1) or solve(part))
+    part = ditc._Part(counts, succ, pred)
+    for v in (r, q, s):
+        assert part.add(v)
+    assert part.forced == {q: 1}  # the target of a one-class member
+    assert part.add(p)
+    assert part.forced == {q: 1, p: 0, s: 0}  # the one preimage, then forward
+    assert part.add(t)
+    assert part.forced == {q: 1, p: 0, s: 0}  # two preimages force nothing
+    assert not part.add(u)  # no preimage: refused with no search
+    assert solves == [] and part.members == {r, q, s, p, t}
+    part.remove(q)
+    assert part.forced == {}
+    assert part.choices() == {r: 0, s: 0, p: 0, t: 0}
 
 
 def _one_hole_grid(n):
